@@ -171,14 +171,12 @@ BM_HierarchyReplay(benchmark::State &state)
 BENCHMARK(BM_HierarchyReplay);
 
 /**
- * Engine comparison: four processors streaming over disjoint shared-space
- * regions, replayed by the sequential reference engine and by the
- * epoch-window parallel engine (one host thread per simulated processor).
- * Disjoint lines mean both engines produce identical statistics; the
- * spread between the two fixtures is the host-side speedup.
+ * Four processors streaming over disjoint shared-space regions: the
+ * min-clock interleaving cost of a full machine with no coherence
+ * traffic between the processors.
  */
 void
-BM_MachineReplay4(benchmark::State &state, EngineConfig engine)
+BM_MachineReplay4(benchmark::State &state)
 {
     MachineConfig cfg = MachineConfig::baseline();
     std::vector<TraceStream> streams(cfg.nprocs);
@@ -196,14 +194,13 @@ BM_MachineReplay4(benchmark::State &state, EngineConfig engine)
     std::uint64_t entries = 0;
     for (auto _ : state) {
         Machine m(cfg);
-        SimStats s = m.run(ptrs, engine);
+        SimStats s = m.run(ptrs);
         benchmark::DoNotOptimize(s.procs[0].reads);
         entries += streams[0].size() * cfg.nprocs;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(entries));
 }
-BENCHMARK_CAPTURE(BM_MachineReplay4, seq, EngineConfig::seq());
-BENCHMARK_CAPTURE(BM_MachineReplay4, par, EngineConfig::par());
+BENCHMARK(BM_MachineReplay4);
 
 /**
  * Cost of the --memprof machinery on the machine replay path. Four

@@ -8,12 +8,14 @@
 #
 # --sanitize builds into a separate build directory (build-tsan/,
 # build-asan/ or build-ubsan/) with -DSIM_SANITIZE set and runs only the
-# engine and coherence tests there — the interleaving-heavy subset a
+# coherence and spinlock tests there — the interleaving-heavy subset a
 # sanitizer can actually judge — so the instrumented build never
-# pollutes the normal one and stays fast enough for routine use.
+# pollutes the normal one and stays fast enough for routine use. The
+# simulator is single-threaded; the thread leg stays so host-level job
+# parallelism lands with a race detector already wired up.
 #
 # --chaos runs the robustness gauntlet: TSan and ASan builds over the
-# fault-injection, invariant-checker and engine-stress suites, plus the
+# fault-injection, invariant-checker and stream suites, plus the
 # chaos_fault_sweep bench at tiny scale (nonzero fault rates, checker
 # on, exit 1 on any violation) and the placement-policy sweep under the
 # checker.
@@ -26,23 +28,21 @@
 #
 # --memprof runs the line-level memory-profiler checks: the memprof unit
 # tests, report_memprof over Q3/Q6/Q12 at tiny scale, JSON schema
-# validation of the profile block, the per-processor
-# cohe == cohe.true + cohe.false counter invariant, and bit-identity of
-# the profile across the sequential and parallel engines.
+# validation of the profile block and the per-processor
+# cohe == cohe.true + cohe.false counter invariant.
 #
 # --stream runs the query-stream scheduler checks: the sched unit,
 # property, fuzz and golden tests, then throughput_stream at tiny scale
-# under both engines with JSON output, validating the stream report
-# schema and asserting the whole sweep (points, summaries, registry
-# snapshots) is bit-identical between --engine seq and --engine par.
-# The chaos gauntlet also runs these under each sanitizer.
+# with JSON output, validating the stream report schema and the latency
+# algebra of every record. The chaos gauntlet also runs these under
+# each sanitizer.
 #
 # --resilience runs the stream-resilience checks: the resilience unit,
 # breaker, outage-table, scheduler and golden tests, then the
 # resilience_sweep bench at tiny scale with JSON output, validating the
-# SLO accounting schema, outcome conservation at every swept point,
-# engine bit-identity, and breaker trip + recovery in the failure-window
-# scenario. The chaos gauntlet also runs these under each sanitizer.
+# SLO accounting schema, outcome conservation at every swept point, and
+# breaker trip + recovery in the failure-window scenario. The chaos
+# gauntlet also runs these under each sanitizer.
 #
 # --machine runs the machine-spec checks: the hierarchy/spec unit tests,
 # `--machine list` preset discovery, byte-identity of the default report
@@ -134,33 +134,28 @@ short_of() {
 }
 
 # Query-stream scheduler checks against an existing build dir: the sched
-# unit/property/fuzz/golden tests, then the throughput_stream bench on
-# both engines, validating the JSON schema, the latency algebra of every
-# record, and engine bit-identity of the full sweep.
+# unit/property/fuzz/golden tests, then the throughput_stream bench,
+# validating the JSON schema and the latency algebra of every record.
 stream_checks() {
     local dir="$1"
     local filter='Percentile.*:LatencySummary.*:StreamModel.*'
     filter+=':TraceCacheUnit.*:SchedSim.*:StreamFuzz.*:GoldenStats.Stream*'
     "$dir/tests/dss_tests" --gtest_filter="$filter"
 
-    local seq_json="$dir/stream_check_seq.json"
-    local par_json="$dir/stream_check_par.json"
+    local out_json="$dir/stream_check.json"
     "$dir/bench/throughput_stream" --scale tiny --stream 8 \
-        --json "$seq_json" > /dev/null
-    "$dir/bench/throughput_stream" --scale tiny --stream 8 --engine par \
-        --json "$par_json" > /dev/null
+        --json "$out_json" > /dev/null
 
-    python3 - "$seq_json" "$par_json" <<'PYSTREAM'
+    python3 - "$out_json" <<'PYSTREAM'
 import json, sys
 
-seq = json.load(open(sys.argv[1]))
-par = json.load(open(sys.argv[2]))
+doc = json.load(open(sys.argv[1]))
 
 def fail(msg):
     sys.stderr.write("check.sh: stream: %s\n" % msg)
     sys.exit(1)
 
-points = seq.get("points")
+points = doc.get("points")
 if not isinstance(points, list) or not points:
     fail("no stream points in %s" % sys.argv[1])
 for pt in points:
@@ -196,24 +191,19 @@ for pt in points:
     if cache["enabled"] and cache["hits"] + cache["misses"] == 0:
         fail("%s: enabled cache never consulted" % pt["label"])
 
-cv = seq.get("cache_validation")
+cv = doc.get("cache_validation")
 if not cv or not cv.get("bit_identical"):
     fail("cache validation block missing or not bit-identical")
 
-# The whole sweep must be engine-invariant, bit for bit.
-if seq["points"] != par["points"]:
-    fail("stream sweep differs between --engine seq and --engine par")
-
-print("check.sh: stream schema, latency algebra and engine"
-      " bit-identity OK")
+print("check.sh: stream schema, latency algebra and cache bit-identity OK")
 PYSTREAM
 }
 
 # Stream-resilience checks against an existing build dir: the resilience
 # unit/property/scheduler/golden tests, then the resilience_sweep bench
 # (whose own per-point invariants — bounded queues, conservation,
-# breaker recovery, engine bit-identity — make its exit code a verdict),
-# validating the JSON SLO schema and the failure-window scenario.
+# breaker recovery — make its exit code a verdict), validating the JSON
+# SLO schema and the failure-window scenario.
 resilience_checks() {
     local dir="$1"
     local filter='ShedPolicyModel.*:ResilienceConfigModel.*'
@@ -241,8 +231,6 @@ slo_keys = ("submitted", "goodput", "timeouts", "shed_queue",
             "shed_breaker", "shed_expired", "abandoned", "migrations")
 for pt in points:
     label = pt.get("label")
-    if not pt.get("bit_identical"):
-        fail("%s not bit-identical between engines" % label)
     res = pt.get("resilience")
     if not isinstance(res, dict):
         fail("%s lacks a resilience block" % label)
@@ -280,8 +268,8 @@ if br["trips"] == 0 or br["recoveries"] == 0:
 if not bl["resilience"]["outages"]:
     fail("breaker scenario saw no outages")
 
-print("check.sh: resilience SLO schema, conservation, breaker life"
-      " cycle and engine bit-identity OK")
+print("check.sh: resilience SLO schema, conservation and breaker life"
+      " cycle OK")
 PYRES
 }
 
@@ -402,32 +390,27 @@ PYMACHINE
 }
 
 # Line-level memory-profiler checks against an existing build dir: unit
-# tests, then report_memprof over Q3/Q6/Q12 with --memprof on both
-# engines, validating the JSON profile schema, the per-processor
-# cohe == cohe.true + cohe.false registry invariant, and engine
-# bit-identity of the profile block.
+# tests, then report_memprof over Q3/Q6/Q12 with --memprof, validating
+# the JSON profile schema and the per-processor
+# cohe == cohe.true + cohe.false registry invariant.
 memprof_checks() {
     local dir="$1"
     "$dir/tests/dss_tests" --gtest_filter='MemProfile.*:RegionMap.*'
 
-    local seq_json="$dir/memprof_check_seq.json"
-    local par_json="$dir/memprof_check_par.json"
+    local out_json="$dir/memprof_check.json"
     "$dir/bench/report_memprof" --memprof --scale tiny \
-        --json "$seq_json" > /dev/null
-    "$dir/bench/report_memprof" --memprof --scale tiny --engine par \
-        --json "$par_json" > /dev/null
+        --json "$out_json" > /dev/null
 
-    python3 - "$seq_json" "$par_json" <<'EOF'
+    python3 - "$out_json" <<'EOF'
 import json, sys
 
-seq = json.load(open(sys.argv[1]))
-par = json.load(open(sys.argv[2]))
+doc = json.load(open(sys.argv[1]))
 
 def fail(msg):
     sys.stderr.write("check.sh: memprof: %s\n" % msg)
     sys.exit(1)
 
-profiles = seq.get("memprof")
+profiles = doc.get("memprof")
 if not isinstance(profiles, dict) or not profiles:
     fail("no memprof block in %s" % sys.argv[1])
 for query, prof in profiles.items():
@@ -455,7 +438,7 @@ for query, prof in profiles.items():
         fail("%s profile tracked no lines" % query)
 
 # Per-proc coherence split invariant from the machine's own counters.
-for run in seq["runs"]:
+for run in doc["runs"]:
     c = run["counters"]
     procs = {k.split(".")[0] for k in c if k.startswith("proc")}
     for p in sorted(procs):
@@ -466,12 +449,7 @@ for run in seq["runs"]:
             fail("%s %s: cohe %d != true %d + false %d"
                  % (run["label"], p, cohe, true, false_))
 
-# The profile replays traces itself: bit-identical across engines.
-if profiles != par.get("memprof"):
-    fail("profile differs between --engine seq and --engine par")
-
-print("check.sh: memprof schema, counter invariant and engine"
-      " bit-identity OK")
+print("check.sh: memprof schema and counter invariant OK")
 EOF
 }
 
@@ -577,13 +555,12 @@ lint_checks() {
 }
 
 if [[ "$chaos" -eq 1 ]]; then
-    # Robustness gauntlet: the fault/checker/guard suites plus the
-    # engine-stress interleavings, under both TSan and ASan, then the
-    # chaos sweep bench end to end (its exit code is the verdict).
+    # Robustness gauntlet: the fault/checker/guard and stream suites,
+    # under both TSan and ASan, then the chaos sweep bench end to end
+    # (its exit code is the verdict).
     filter='FaultDeterminism.*:FaultInjection.*:GracefulFailure.*'
     filter+=':CheckerCorruption.*:CheckerClean.*:Backoff.*:RetryOnAbort.*'
-    filter+=':GuardedMain.*:EngineStress.*:EngineDifferential.*'
-    filter+=':SchedSim.*:StreamFuzz.*'
+    filter+=':GuardedMain.*:SchedSim.*:StreamFuzz.*'
     for san in thread address; do
         dir="$repo/build-$(short_of "$san")"
         cmake -B "$dir" -S "$repo" -DSIM_SANITIZE="$san"
@@ -595,9 +572,9 @@ if [[ "$chaos" -eq 1 ]]; then
         "$dir/bench/chaos_fault_sweep" --scale tiny
         "$dir/bench/ablation_placement" --scale tiny --check
         # The profiler's replay and the sharing tracker under the
-        # sanitizer, plus the schema/invariant/bit-identity checks.
+        # sanitizer, plus the schema/invariant checks.
         memprof_checks "$dir"
-        # Stream scheduler differential + schema under the sanitizer.
+        # Stream scheduler fuzz + schema under the sanitizer.
         stream_checks "$dir"
         # Deadlines, shedding, breaker and node-failure migration under
         # the sanitizer, plus the SLO schema/conservation checks.
@@ -693,7 +670,7 @@ elif [[ -n "$sanitize" ]]; then
     cmake -B "$build" -S "$repo" -DSIM_SANITIZE="$sanitize"
     cmake --build "$build" -j"$(nproc)" --target dss_tests
     "$build/tests/dss_tests" \
-        --gtest_filter='EngineStress.*:EngineDifferential.*:Coherence*.*:Spinlock*.*'
+        --gtest_filter='Coherence*.*:Spinlock*.*'
 else
     build="${build:-$repo/build}"
     cmake -B "$build" -S "$repo"

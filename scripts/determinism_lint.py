@@ -2,7 +2,7 @@
 """Determinism lint for the simulator core.
 
 The repo's headline guarantee is bit-identical simulation output for a
-given input — across repeated runs, engines and host thread counts. The
+given input — across repeated runs, builds and hosts. The
 classic ways C++ code silently breaks that guarantee:
 
   * wall-clock or libc randomness: rand()/srand()/time(),

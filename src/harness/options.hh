@@ -7,9 +7,6 @@
  * subset it implements; anything else — including misspellings — is a
  * hard error, never silently ignored):
  *
- *   --engine <seq|par> simulation engine (see sim/engine.hh)
- *   --threads <n>     par engine: host worker threads (0 = one per proc)
- *   --window <cycles> par engine: barrier window length
  *   --json <path>    write a machine-readable report of the run
  *   --trace <path>   write a Chrome trace-event timeline (chrome://tracing)
  *   --epoch <cycles> sample per-processor counters every N simulated
@@ -74,44 +71,42 @@ struct BenchOptions
 {
     /** Which shared flags a binary implements (parse() mask). */
     enum Flags : unsigned {
-        kEngine = 1u << 0, ///< --engine / --threads / --window
-        kJson = 1u << 1,
-        kTrace = 1u << 2,
-        kEpoch = 1u << 3,
-        kScale = 1u << 4,
-        kCheck = 1u << 5, ///< --check
-        kFault = 1u << 6, ///< --fault-seed / --fault-rate
-        kPlacement = 1u << 7, ///< --placement / --page-profile
-        kMemprof = 1u << 8, ///< --memprof[=topN]
-        kAll = kEngine | kJson | kTrace | kEpoch | kScale | kCheck |
-               kFault | kPlacement | kMemprof,
+        kJson = 1u << 0,
+        kTrace = 1u << 1,
+        kEpoch = 1u << 2,
+        kScale = 1u << 3,
+        kCheck = 1u << 4, ///< --check
+        kFault = 1u << 5, ///< --fault-seed / --fault-rate
+        kPlacement = 1u << 6, ///< --placement / --page-profile
+        kMemprof = 1u << 7, ///< --memprof[=topN]
+        kAll = kJson | kTrace | kEpoch | kScale | kCheck | kFault |
+               kPlacement | kMemprof,
         /**
          * --stream / --stream-seed / --stream-policy / --trace-cache.
          * NOT part of kAll: only stream-aware benches opt in (pass
          * kAll | kStream), so the 20 single-shot binaries keep rejecting
          * the stream flags exactly as before.
          */
-        kStream = 1u << 9,
+        kStream = 1u << 8,
         /**
          * --deadline / --queue-cap / --shed / --breaker. Like kStream,
          * outside kAll: only resilience-aware stream benches opt in.
          */
-        kResilience = 1u << 10,
+        kResilience = 1u << 9,
         /**
          * --machine. Outside kAll so direct parse() callers are
          * unaffected; harness::benchMain ORs it in, which is how all
          * bench binaries pick the flag up in one place.
          */
-        kMachine = 1u << 11,
+        kMachine = 1u << 10,
         /**
          * --verify-procs / --verify-lines / --verify-wb / --verify-depth
          * / --verify-mutant. Outside kAll: only the protocol model
          * checker bench (bench/verify_protocol.cc) opts in.
          */
-        kVerify = 1u << 12,
+        kVerify = 1u << 11,
     };
 
-    sim::EngineConfig engine;    ///< --engine / --threads / --window
     std::string jsonPath;        ///< --json; empty = no JSON output
     std::string tracePath;       ///< --trace; empty = no timeline output
     sim::Cycles epochCycles = 0; ///< --epoch; 0 = no time-series sampling
@@ -229,9 +224,9 @@ class ObsSession
     sim::PlacementPolicy *placement() { return placement_.get(); }
 
     /**
-     * Everything wired up for one runCold/runSequence call: engine,
-     * sampler, timeline, a fresh registry slot (when --json), the
-     * checker and fault plan, and retry notes on stderr.
+     * Everything wired up for one runCold/runSequence call: sampler,
+     * timeline, a fresh registry slot (when --json), the checker and
+     * fault plan, and retry notes on stderr.
      */
     RunOptions runOptions();
 

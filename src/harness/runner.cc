@@ -55,8 +55,7 @@ runOnMachine(sim::Machine &machine,
             if (opts.faults && opts.faults->abortScheduled())
                 throw db::QueryAbort(db::QueryAbort::Reason::Injected, 0,
                                      -1, "injected fault: query abort");
-            return machine.run(traces, opts.engine, opts.sampler,
-                               opts.timeline);
+            return machine.run(traces, opts.sampler, opts.timeline);
         },
         opts.faults, opts.log, opts.retryStats);
 }
@@ -93,52 +92,6 @@ runSequence(const sim::MachineConfig &cfg,
         out.push_back(runOnMachine(machine, tracePtrs(*traces), opts));
     snapshotRegistry(machine, opts);
     return out;
-}
-
-sim::SimStats
-runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
-        obs::Sampler *sampler, obs::Timeline *timeline,
-        obs::Json *registry_snapshot)
-{
-    return runCold(cfg, traces, sim::EngineConfig::seq(), sampler,
-                   timeline, registry_snapshot);
-}
-
-sim::SimStats
-runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
-        const sim::EngineConfig &engine, obs::Sampler *sampler,
-        obs::Timeline *timeline, obs::Json *registry_snapshot)
-{
-    RunOptions opts;
-    opts.engine = engine;
-    opts.sampler = sampler;
-    opts.timeline = timeline;
-    opts.registrySnapshot = registry_snapshot;
-    return runCold(cfg, traces, opts);
-}
-
-std::vector<sim::SimStats>
-runSequence(const sim::MachineConfig &cfg,
-            const std::vector<const TraceSet *> &sequence,
-            obs::Sampler *sampler, obs::Timeline *timeline,
-            obs::Json *registry_snapshot)
-{
-    return runSequence(cfg, sequence, sim::EngineConfig::seq(), sampler,
-                       timeline, registry_snapshot);
-}
-
-std::vector<sim::SimStats>
-runSequence(const sim::MachineConfig &cfg,
-            const std::vector<const TraceSet *> &sequence,
-            const sim::EngineConfig &engine, obs::Sampler *sampler,
-            obs::Timeline *timeline, obs::Json *registry_snapshot)
-{
-    RunOptions opts;
-    opts.engine = engine;
-    opts.sampler = sampler;
-    opts.timeline = timeline;
-    opts.registrySnapshot = registry_snapshot;
-    return runSequence(cfg, sequence, opts);
 }
 
 } // namespace harness

@@ -34,15 +34,14 @@ class PlacementPolicy;
 namespace harness {
 
 /**
- * Everything a run can be wired up with, in one bundle: engine choice,
- * observers (sampler / timeline / registry snapshot), robustness hooks
+ * Everything a run can be wired up with, in one bundle: observers
+ * (sampler / timeline / registry snapshot), robustness hooks
  * (invariant checker, fault plan, retry policy for injected query
  * aborts) and a stream for retry notes. All pointers are optional and
  * borrowed.
  */
 struct RunOptions
 {
-    sim::EngineConfig engine;
     obs::Sampler *sampler = nullptr;
     obs::Timeline *timeline = nullptr;
     obs::Json *registrySnapshot = nullptr;
@@ -64,16 +63,21 @@ struct RunOptions
     RetryStats *retryStats = nullptr;
 };
 
-/** Simulate @p traces on a fresh machine, fully wired via @p opts.
- * FaultPlan-scheduled query aborts are retried with bounded backoff. */
+/**
+ * Simulate @p traces on a fresh machine with @p cfg (cold caches), fully
+ * wired via @p opts. FaultPlan-scheduled query aborts are retried with
+ * bounded backoff. With opts.registrySnapshot set, the machine's full
+ * counter registry (per-proc stats, cache/write-buffer/directory/lock
+ * counters) is snapshotted into it after the run.
+ */
 sim::SimStats runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
-                      const RunOptions &opts);
+                      const RunOptions &opts = {});
 
 /**
  * One guarded run on a caller-owned machine: reset the per-run lifetime
  * stats, feed the page/memory profilers, schedule and retry
- * FaultPlan-injected aborts, and replay @p traces with opts.engine. This
- * is the primitive runCold/runSequence chain per trace set — exposed so
+ * FaultPlan-injected aborts, and replay @p traces. This is the
+ * primitive runCold/runSequence chain per trace set — exposed so
  * the stream scheduler (src/sched/) can drive many back-to-back query
  * instances on one warm machine it wires up itself (setChecker,
  * setFaultPlan, setPlacement are the caller's responsibility; they are
@@ -82,33 +86,6 @@ sim::SimStats runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
 sim::SimStats runOnMachine(sim::Machine &machine,
                            const std::vector<const sim::TraceStream *> &traces,
                            const RunOptions &opts);
-
-/** Warm-chained sequence (Fig 12), fully wired via @p opts. */
-std::vector<sim::SimStats>
-runSequence(const sim::MachineConfig &cfg,
-            const std::vector<const TraceSet *> &sequence,
-            const RunOptions &opts);
-
-/**
- * Simulate @p traces on a fresh machine with @p cfg (cold caches).
- *
- * @param sampler  Optional epoch sampler receiving counter deltas.
- * @param timeline Optional timeline receiving busy/stall/lock spans.
- * @param registry_snapshot When non-null, the machine's full counter
- *        registry (per-proc stats, cache/write-buffer/directory/lock
- *        counters) is snapshotted into this JSON object after the run.
- */
-sim::SimStats runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
-                      obs::Sampler *sampler = nullptr,
-                      obs::Timeline *timeline = nullptr,
-                      obs::Json *registry_snapshot = nullptr);
-
-/** Same, replayed by an explicit engine (BenchOptions' --engine flag). */
-sim::SimStats runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
-                      const sim::EngineConfig &engine,
-                      obs::Sampler *sampler = nullptr,
-                      obs::Timeline *timeline = nullptr,
-                      obs::Json *registry_snapshot = nullptr);
 
 /**
  * Simulate a sequence of trace sets on one machine without flushing caches
@@ -122,18 +99,7 @@ sim::SimStats runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
 std::vector<sim::SimStats>
 runSequence(const sim::MachineConfig &cfg,
             const std::vector<const TraceSet *> &sequence,
-            obs::Sampler *sampler = nullptr,
-            obs::Timeline *timeline = nullptr,
-            obs::Json *registry_snapshot = nullptr);
-
-/** Same, replayed by an explicit engine (BenchOptions' --engine flag). */
-std::vector<sim::SimStats>
-runSequence(const sim::MachineConfig &cfg,
-            const std::vector<const TraceSet *> &sequence,
-            const sim::EngineConfig &engine,
-            obs::Sampler *sampler = nullptr,
-            obs::Timeline *timeline = nullptr,
-            obs::Json *registry_snapshot = nullptr);
+            const RunOptions &opts = {});
 
 } // namespace harness
 } // namespace dss

@@ -26,7 +26,7 @@ MemProfile::addTraces(const std::vector<const sim::TraceStream *> &traces)
     // Canonical position-major round-robin merge: position k of every
     // processor before position k+1 of any. This fixed order — not the
     // Machine's timing-dependent interleaving — is what makes the profile
-    // a pure function of the traces and thus engine/thread invariant.
+    // a pure function of the traces.
     std::size_t max_len = 0;
     for (const sim::TraceStream *t : traces)
         max_len = std::max(max_len, t ? t->size() : 0);

@@ -16,7 +16,7 @@
  * position 1, ...), against its own model caches and SharingTracker.
  * Because traces are pure per-processor artifacts of the (read-only
  * TPC-D) database engine, the profile is a pure function of the traces:
- * bit-identical across `--engine seq|par`, any thread count, and reruns.
+ * bit-identical across reruns and independent of the machine's timing.
  *
  * The model is the machine's L2 level without L1 filtering or timing:
  * one model L2 per processor (machine geometry), MESI-style exclusivity

@@ -5,8 +5,8 @@
  *
  * A PageProfile counts, for every shared page, how many traced
  * references each processor makes to it. The counts are accumulated
- * straight from TraceStreams (order-independent sums, so the result is
- * trivially identical under either engine), serialized to JSON by the
+ * straight from TraceStreams (order-independent sums, so the result
+ * does not depend on the replay's interleaving), serialized to JSON by the
  * --page-profile flag, and consumed by --placement=profile:<path> in a
  * second run, which homes each page at its majority accessor.
  */

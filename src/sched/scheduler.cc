@@ -87,8 +87,8 @@ StreamScheduler::runInstance(const QueryInstance &inst, sim::ProcId proc,
 
     // The instance replays solo on its processor slot: lower slots get
     // empty traces (immediately done, zero cycles), higher slots idle.
-    // A solo run is bit-identical under both engines and any host thread
-    // count, which is what makes stream results engine-invariant.
+    // A solo run has no cross-processor interleaving to order, which is
+    // what makes stream results a pure function of the configuration.
     static const sim::TraceStream kEmpty;
     std::vector<const sim::TraceStream *> ptrs(proc + 1, &kEmpty);
     ptrs[proc] = stream;

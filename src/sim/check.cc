@@ -32,6 +32,17 @@ hexAddr(Addr a)
     return os.str();
 }
 
+/** "L1 of proc 2 holds 0x40 without the L2 line": level @p u (0-based)
+ * of processor @p p keeps @p a while level u+1 lacks its line. */
+std::string
+inclusionDetail(std::size_t u, ProcId p, Addr a)
+{
+    std::ostringstream os;
+    os << 'L' << u + 1 << " of proc " << p << " holds " << hexAddr(a)
+       << " without the L" << u + 2 << " line";
+    return os.str();
+}
+
 } // namespace
 
 std::string_view
@@ -62,9 +73,6 @@ InvariantChecker::checkLine(const Machine &m, Addr addr)
 {
     const MachineConfig &cfg = m.cfg_;
     const Addr line = m.dir_.lineAddrOf(addr);
-    // The parallel engine's prefetch-share back-off can strand a stale
-    // clean copy (see file comment); tolerate exactly that shape.
-    const bool tol = cfg.prefetchData;
 
     std::uint64_t holders = 0;
     std::uint64_t dirty = 0;
@@ -82,7 +90,7 @@ InvariantChecker::checkLine(const Machine &m, Addr addr)
         report(Invariant::Swmr, line, 0,
                "multiple dirty copies of " + hexAddr(line) +
                    " (dirty mask " + std::to_string(dirty) + ")");
-    } else if (dirty != 0 && holders != dirty && !tol) {
+    } else if (dirty != 0 && holders != dirty) {
         report(Invariant::Swmr, line, 0,
                "dirty copy of " + hexAddr(line) +
                    " coexists with other cached copies (holders " +
@@ -98,7 +106,7 @@ InvariantChecker::checkLine(const Machine &m, Addr addr)
             report(Invariant::DirState, line, 0,
                    "dirty cached copy of " + hexAddr(line) +
                        " under an Uncached directory entry");
-        else if (holders != 0 && !tol)
+        else if (holders != 0)
             report(Invariant::DirState, line, 0,
                    "cached copy of " + hexAddr(line) +
                        " under an Uncached directory entry");
@@ -118,7 +126,7 @@ InvariantChecker::checkLine(const Machine &m, Addr addr)
                    "sharer bits " + std::to_string(missing) + " of " +
                        hexAddr(line) + " name caches with no copy");
         const std::uint64_t extra = holders & ~e.sharers;
-        if (extra != 0 && !tol)
+        if (extra != 0)
             report(Invariant::DirState, line, 0,
                    "caches " + std::to_string(extra) + " hold " +
                        hexAddr(line) + " but are not in the sharer set");
@@ -144,7 +152,7 @@ InvariantChecker::checkLine(const Machine &m, Addr addr)
                    "Dirty entry for " + hexAddr(line) +
                        " with sharer set != owner bit");
         const std::uint64_t others = holders & ~bit(e.owner);
-        if (others != 0 && !tol)
+        if (others != 0)
             report(Invariant::DirState, line, e.owner,
                    "caches " + std::to_string(others) +
                        " hold copies of Dirty-owned " + hexAddr(line));
@@ -165,10 +173,7 @@ InvariantChecker::checkLine(const Machine &m, Addr addr)
                      a += cfg.levels[u].lineBytes) {
                     if (n.caches[u].contains(a))
                         report(Invariant::Inclusion, a, p,
-                               "L" + std::to_string(u + 1) + " of proc " +
-                                   std::to_string(p) + " holds " +
-                                   hexAddr(a) + " without the L" +
-                                   std::to_string(u + 2) + " line");
+                               inclusionDetail(u, p, a));
                 }
             }
         }
@@ -215,8 +220,8 @@ InvariantChecker::checkLocks(const Machine &m)
             seen.push_back(w);
         }
     }
-    // Cross-check against the engine's blocked flags (only meaningful
-    // while a run is active and between whole steps/barriers).
+    // Cross-check against the processors' blocked flags (only meaningful
+    // while a run is active and between whole steps).
     if (m.runs_.size() == np) {
         for (ProcId p = 0; p < np; ++p) {
             const bool blocked = m.runs_[p].blocked;
@@ -255,16 +260,6 @@ InvariantChecker::onStep(const Machine &m, ProcId p, const TraceEntry &e)
 }
 
 void
-InvariantChecker::onBarrier(const Machine &m, const std::vector<Addr> &lines)
-{
-    for (Addr a : lines)
-        checkLine(m, a);
-    checkLocks(m);
-    for (ProcId p = 0; p < m.cfg_.nprocs; ++p)
-        checkWriteBuffer(m, p);
-}
-
-void
 InvariantChecker::sweep(const Machine &m)
 {
     // Every line the directory tracks, plus every resident L2 line (to
@@ -291,10 +286,7 @@ InvariantChecker::sweep(const Machine &m)
             for (Addr a : n.caches[u].residentLines())
                 if (!n.caches[u + 1].contains(a))
                     report(Invariant::Inclusion, a, p,
-                           "L" + std::to_string(u + 1) + " of proc " +
-                               std::to_string(p) + " holds " + hexAddr(a) +
-                               " without the L" + std::to_string(u + 2) +
-                               " line");
+                           inclusionDetail(u, p, a));
         checkWriteBuffer(m, p);
     }
     checkLocks(m);

@@ -25,17 +25,8 @@
  * The checker only *reads* machine state: enabling it never changes a
  * single timing or statistic.
  *
- * Checking granularity: the sequential engine checks the touched line
- * after every step; the parallel engine checks the lines named by parked
- * operations after every barrier (phase A intentionally lets per-window
- * overlays diverge from the live state, so mid-window checks would be
- * false positives). Both end the run with a full sweep.
- *
- * One documented tolerance: with prefetching enabled (cfg.prefetchData),
- * the parallel engine's prefetch-share back-off at the barrier can leave
- * a stale *clean* unregistered copy in the prefetcher's caches (see
- * DESIGN.md §12). DirState therefore ignores extra clean copies when
- * prefetching is on; a stale *dirty* copy is always a violation.
+ * Checking granularity: the touched line after every step, then a full
+ * sweep at the end of the run.
  */
 
 #ifndef DSS_SIM_CHECK_HH
@@ -82,13 +73,10 @@ struct CheckViolation
 class InvariantChecker
 {
   public:
-    // ----- hooks called by the engines -----
+    // ----- hooks called by Machine::run -----
 
-    /** Sequential engine: after one processor step on entry @p e. */
+    /** After one processor step on entry @p e. */
     void onStep(const Machine &m, ProcId p, const TraceEntry &e);
-
-    /** Parallel engine: after a barrier applied ops on @p lines. */
-    void onBarrier(const Machine &m, const std::vector<Addr> &lines);
 
     /** End of Machine::run: full sweep of all tracked state. */
     void onRunEnd(const Machine &m);

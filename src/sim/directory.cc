@@ -77,15 +77,6 @@ Directory::acquireController(ProcId home, Cycles arrival)
     return delay;
 }
 
-void
-Directory::occupy(ProcId home, Cycles arrival, Cycles charged_delay)
-{
-    Cycles &free_at = controllerFree_.at(home);
-    free_at = std::max(free_at, arrival) + occupancyCycles();
-    ++hctrs_[home].requests;
-    hctrs_[home].queueCycles += charged_delay;
-}
-
 const Directory::Entry *
 Directory::peek(Addr addr) const
 {

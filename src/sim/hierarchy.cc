@@ -32,7 +32,9 @@ reject(const std::string &what, const std::string &field,
 std::string
 levelName(std::size_t lvl)
 {
-    return "l" + std::to_string(lvl + 1);
+    std::string name = "l";
+    name += std::to_string(lvl + 1);
+    return name;
 }
 
 LevelChain

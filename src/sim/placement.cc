@@ -292,9 +292,8 @@ PlacementPolicy::beginRun(const std::vector<const TraceStream *> &traces)
 
     // Pass 2: first-touch claims, in (trace position, processor) order.
     // Position-major iteration makes "first" a pure function of the
-    // traces: both engines visit each position exactly once, so the
-    // resulting homes are identical under seq and par at any thread
-    // count (the same argument the fault planner uses).
+    // traces, independent of simulated timing (the same argument the
+    // fault planner uses).
     std::size_t longest = 0;
     for (const TraceStream *t : traces)
         if (t)

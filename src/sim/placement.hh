@@ -14,8 +14,8 @@
  *                    historical hardwired rule; the default)
  *   first-touch      a shared page is homed at the first processor to
  *                    reference it, resolved at trace position (see
- *                    beginRun) so the outcome is identical under the
- *                    sequential and parallel engines at any thread count
+ *                    beginRun) so the outcome depends on the traces
+ *                    alone, never on simulated timing
  *   class-affinity   pages whose dominant MemArena DataClass is metadata
  *                    (buffer descriptors, lookup hash, lock words, ...)
  *                    are homed at one node; Data/Index pages interleave
@@ -150,8 +150,8 @@ class PlacementPolicy
     }
 
     /**
-     * Per-run resolution hook, called by the Machine before either
-     * engine starts. A no-op for every kind except first-touch (the
+     * Per-run resolution hook, called by the Machine before the first
+     * step. A no-op for every kind except first-touch (the
      * others precompute their table at construction, and their fallback
      * rule returns the same home as a table slot would). For first-touch
      * it grows the flat table to cover every shared page the traces
@@ -160,9 +160,9 @@ class PlacementPolicy
      *
      * The claim scan iterates trace positions in the outer loop and
      * processors in the inner loop, so "first" is defined purely by the
-     * traces, never by simulated time or host scheduling: the same trace
-     * set yields the same homes under --engine seq and par at any thread
-     * count. Claims persist across runs (a page's first touch ever wins),
+     * traces, never by simulated time: the same trace set yields the same
+     * homes whatever the machine's timing. Claims persist across runs (a
+     * page's first touch ever wins),
      * which is what the warm-start sequences expect of a real OS.
      */
     void beginRun(const std::vector<const TraceStream *> &traces);

@@ -78,7 +78,9 @@ constexpr std::int64_t kMax = IndexScanNode::kMaxKey;
 std::string
 queryName(QueryId q)
 {
-    return "Q" + std::to_string(static_cast<int>(q));
+    std::string name = "Q";
+    name += std::to_string(static_cast<int>(q));
+    return name;
 }
 
 QueryClass

@@ -82,7 +82,7 @@ struct Event
 std::string eventName(const Event &e);
 
 /**
- * A processor's lock continuation. Blocked/MidAcq mirror the engine's
+ * A processor's lock continuation. Blocked/MidAcq mirror the Machine's
  * ProcRun flags; Granted and Holding are model bookkeeping for the
  * hand-off window (the lock table already names the processor as holder,
  * but it must still re-execute its acquire before entering the critical

@@ -73,7 +73,8 @@ struct CatalogFixture : MemFixture
             catalog.insert(mem, table,
                            {db::Datum{static_cast<std::int64_t>(k)},
                             db::Datum{k * 1.5},
-                            db::Datum{"r" + std::to_string(k % 10)}});
+                            db::Datum{std::string{
+                                'r', static_cast<char>('0' + k % 10)}}});
         }
     }
 

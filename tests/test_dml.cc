@@ -33,7 +33,7 @@ struct DmlFixture : CatalogFixture
     row(int k)
     {
         return {Datum{static_cast<std::int64_t>(k)}, Datum{k * 1.5},
-                Datum{"r" + std::to_string(k % 10)}};
+                Datum{std::string{'r', static_cast<char>('0' + k % 10)}}};
     }
 
     std::vector<std::vector<Datum>>

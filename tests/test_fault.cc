@@ -5,8 +5,7 @@
  *
  * The contract under test: a FaultPlan's decisions are a pure function
  * of (seed, run, proc, trace position, kind) — the same seed yields a
- * bit-identical fault schedule under the sequential engine and the
- * parallel engine at any host thread count; rate 0 changes nothing at
+ * bit-identical fault schedule on every rerun; rate 0 changes nothing at
  * all; injected query aborts are always retried to completion; and a
  * simulated deadlock surfaces as a typed SimError with a per-processor
  * dump instead of an assert.
@@ -39,12 +38,9 @@ streamOf(std::initializer_list<TraceEntry> entries)
     return s;
 }
 
-/** Randomized traces with shared lines and locks (contended). When
- * @p conflict_free, each processor keeps to its private region,
- * lock-free — no shared lines and no shared home-node controllers, the
- * regime where par must equal seq exactly. */
+/** Randomized traces with shared lines and locks (contended). */
 std::vector<TraceStream>
-fuzzTraces(std::uint64_t seed, unsigned nprocs, bool conflict_free)
+fuzzTraces(std::uint64_t seed, unsigned nprocs)
 {
     std::mt19937_64 rng(seed);
     std::vector<TraceStream> traces;
@@ -60,7 +56,7 @@ fuzzTraces(std::uint64_t seed, unsigned nprocs, bool conflict_free)
         bool in_cs = false;
         for (std::size_t i = 0; i < 300; ++i) {
             const int r = pct(rng);
-            if (!conflict_free && !in_cs && r < 6) {
+            if (!in_cs && r < 6) {
                 t.record(
                     TraceEntry::lockAcq(lock_base, DataClass::LockSLock));
                 in_cs = true;
@@ -71,7 +67,7 @@ fuzzTraces(std::uint64_t seed, unsigned nprocs, bool conflict_free)
             } else if (r < 40) {
                 t.record(TraceEntry::busy(busy(rng)));
             } else {
-                const bool shared = !conflict_free && pct(rng) < 40;
+                const bool shared = pct(rng) < 40;
                 const Addr a = shared ? shared_base + (off(rng) & ~7ull)
                                       : priv_base + (off(rng) & ~7ull);
                 if (pct(rng) < 30)
@@ -100,51 +96,25 @@ ptrsOf(const std::vector<TraceStream> &traces)
 
 TEST(FaultDeterminism, ScheduleIdenticalAcrossEnginesAndThreadCounts)
 {
+    // The schedule and the stats it perturbs repeat exactly when the same
+    // seed replays the same traces on a fresh machine.
     const MachineConfig cfg = MachineConfig::baseline();
-    const auto traces = fuzzTraces(7, cfg.nprocs, false);
+    const auto traces = fuzzTraces(7, cfg.nprocs);
 
     FaultConfig fc;
     fc.seed = 42;
     fc.rate = 0.02;
 
     std::vector<std::vector<FaultPlan::Event>> schedules;
-    for (const EngineConfig &engine :
-         {EngineConfig::seq(), EngineConfig::par(1), EngineConfig::par(2),
-          EngineConfig::par(4)}) {
+    std::vector<std::string> fingerprints;
+    for (int rerun = 0; rerun < 2; ++rerun) {
         Machine m(cfg);
         FaultPlan plan(fc);
         m.setFaultPlan(&plan);
-        m.run(ptrsOf(traces), engine);
+        fingerprints.push_back(obs::toJson(m.run(ptrsOf(traces))).dump());
         schedules.push_back(plan.schedule());
     }
     ASSERT_FALSE(schedules[0].empty()) << "rate 0.02 fired nothing";
-    for (std::size_t i = 1; i < schedules.size(); ++i)
-        EXPECT_EQ(schedules[0], schedules[i]) << "engine variant " << i;
-}
-
-TEST(FaultDeterminism, SeqParStatsIdenticalWithFaultsOnConflictFreeTraces)
-{
-    const MachineConfig cfg = MachineConfig::baseline();
-    const auto traces = fuzzTraces(11, cfg.nprocs, true);
-
-    FaultConfig fc;
-    fc.seed = 9;
-    fc.rate = 0.02;
-
-    std::string fingerprints[2];
-    std::vector<FaultPlan::Event> schedules[2];
-    int i = 0;
-    for (const EngineConfig &engine :
-         {EngineConfig::seq(), EngineConfig::par()}) {
-        Machine m(cfg);
-        FaultPlan plan(fc);
-        m.setFaultPlan(&plan);
-        SimStats s = m.run(ptrsOf(traces), engine);
-        fingerprints[i] = obs::toJson(s).dump(2);
-        schedules[i] = plan.schedule();
-        ++i;
-    }
-    EXPECT_FALSE(schedules[0].empty());
     EXPECT_EQ(schedules[0], schedules[1]);
     EXPECT_EQ(fingerprints[0], fingerprints[1]);
 }
@@ -152,7 +122,7 @@ TEST(FaultDeterminism, SeqParStatsIdenticalWithFaultsOnConflictFreeTraces)
 TEST(FaultDeterminism, RateZeroPlanChangesNothing)
 {
     const MachineConfig cfg = MachineConfig::baseline();
-    const auto traces = fuzzTraces(3, cfg.nprocs, false);
+    const auto traces = fuzzTraces(3, cfg.nprocs);
 
     Machine plain(cfg);
     const std::string base =
@@ -171,7 +141,7 @@ TEST(FaultDeterminism, RateZeroPlanChangesNothing)
 TEST(FaultInjection, FaultsFireAndPerturbTiming)
 {
     const MachineConfig cfg = MachineConfig::baseline();
-    const auto traces = fuzzTraces(5, cfg.nprocs, false);
+    const auto traces = fuzzTraces(5, cfg.nprocs);
 
     Machine plain(cfg);
     const SimStats base = plain.run(ptrsOf(traces));
@@ -196,7 +166,7 @@ TEST(FaultInjection, FaultsFireAndPerturbTiming)
 TEST(FaultInjection, InjectedQueryAbortsAreRetriedToCompletion)
 {
     const MachineConfig cfg = MachineConfig::baseline();
-    const auto traces = fuzzTraces(13, cfg.nprocs, false);
+    const auto traces = fuzzTraces(13, cfg.nprocs);
     harness::TraceSet set;
     for (const TraceStream &t : traces)
         set.push_back(t);
@@ -223,7 +193,7 @@ TEST(FaultInjection, InjectedQueryAbortsAreRetriedToCompletion)
 TEST(FaultInjection, ChainedRunsGetDistinctSchedules)
 {
     const MachineConfig cfg = MachineConfig::baseline();
-    const auto traces = fuzzTraces(17, cfg.nprocs, false);
+    const auto traces = fuzzTraces(17, cfg.nprocs);
 
     FaultConfig fc;
     fc.seed = 4;
@@ -264,20 +234,16 @@ TEST(GracefulFailure, DeadlockThrowsSimErrorWithProcessorDump)
     for (ProcId p = 2; p < cfg.nprocs; ++p)
         traces.push_back(streamOf({TraceEntry::busy(5)}));
 
-    for (const EngineConfig &engine :
-         {EngineConfig::seq(), EngineConfig::par()}) {
-        Machine m(cfg);
-        try {
-            m.run(ptrsOf(traces), engine);
-            FAIL() << "deadlocked run returned normally";
-        } catch (const SimError &e) {
-            EXPECT_NE(std::string(e.what()).find("deadlock"),
-                      std::string::npos);
-            obs::Json dump = e.dump(); // operator[] is non-const
-            ASSERT_FALSE(dump["procs"].isNull());
-            EXPECT_EQ(dump["procs"].size(), cfg.nprocs);
-            ASSERT_FALSE(dump["locks"].isNull());
-        }
+    Machine m(cfg);
+    try {
+        m.run(ptrsOf(traces));
+        FAIL() << "deadlocked run returned normally";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
+        obs::Json dump = e.dump(); // operator[] is non-const
+        ASSERT_FALSE(dump["procs"].isNull());
+        EXPECT_EQ(dump["procs"].size(), cfg.nprocs);
+        ASSERT_FALSE(dump["locks"].isNull());
     }
 }
 

@@ -4,9 +4,9 @@
  * declarative MachineSpec layer (sim/spec.hh): strict inclusion along
  * three-level chains, coherent-level evictions clearing the upper
  * levels, per-level counter reconciliation, spec JSON round-trips,
- * preset validation, and the headline bit-identity differential — Q6 on
- * the tiny population must produce identical statistics on the seq and
- * par engines for both the paper1997 and modern presets.
+ * preset validation, and rerun bit-identity — Q6 on the tiny population
+ * must produce identical statistics on every rerun for both the
+ * paper1997 and modern presets.
  */
 
 #include <cstdio>
@@ -241,15 +241,10 @@ TEST(MachineSpec, MissingFileThrows)
 }
 
 /**
- * The tentpole's acceptance differential, four configs: {seq, par} x
- * {paper1997, modern} on Q6 tiny. Seq and par are deliberately NOT
- * compared to each other — Q6 takes locks, and contended acquires may
- * time differently across engines (the documented engine contract, see
- * test_engine_differential.cc). What each config MUST deliver is bit
- * identity with itself: repeat runs, and for par every host thread
- * count, produce byte-identical statistics — at two levels and at
- * three. A level-chain walk that consulted any engine-dependent state
- * would break this immediately.
+ * Rerun identity on Q6 tiny, at two levels (paper1997) and at three
+ * (modern): repeat runs produce byte-identical statistics. A level-chain
+ * walk that consulted any state outside the machine would break this
+ * immediately.
  */
 TEST(MachineSpec, FourConfigBitIdentityDifferentialQ6)
 {
@@ -258,28 +253,11 @@ TEST(MachineSpec, FourConfigBitIdentityDifferentialQ6)
     for (const std::string &name : {std::string("paper1997"),
                                     std::string("modern")}) {
         const MachineSpec spec = machinePreset(name);
-        for (bool par : {false, true}) {
-            std::string first;
-            const std::vector<EngineConfig> engines =
-                par ? std::vector<EngineConfig>{EngineConfig::par(),
-                                                EngineConfig::par(1),
-                                                EngineConfig::par(2)}
-                    : std::vector<EngineConfig>{EngineConfig::seq(),
-                                                EngineConfig::seq()};
-            for (const EngineConfig &engine : engines) {
-                harness::RunOptions ro;
-                ro.engine = engine;
-                SimStats stats = harness::runCold(spec.config, traces, ro);
-                const std::string dump = obs::toJson(stats).dump();
-                if (first.empty())
-                    first = dump;
-                else
-                    EXPECT_EQ(dump, first)
-                        << name << (par ? "/par" : "/seq")
-                        << ": nondeterministic statistics";
-            }
-            EXPECT_FALSE(first.empty());
-        }
+        const std::string first =
+            obs::toJson(harness::runCold(spec.config, traces)).dump();
+        const std::string again =
+            obs::toJson(harness::runCold(spec.config, traces)).dump();
+        EXPECT_EQ(first, again) << name << ": nondeterministic statistics";
     }
 }
 

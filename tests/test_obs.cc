@@ -82,8 +82,9 @@ TEST(Registry, MachineRegistersHierarchicalNames)
     harness::TraceSet traces = wl.trace(tpcd::QueryId::Q6);
 
     obs::Json snapshot;
-    sim::SimStats stats =
-        harness::runCold(cfg, traces, nullptr, nullptr, &snapshot);
+    harness::RunOptions ro;
+    ro.registrySnapshot = &snapshot;
+    sim::SimStats stats = harness::runCold(cfg, traces, ro);
 
     ASSERT_TRUE(snapshot.isObject());
     // The per-proc stat views must agree with the returned stats.
@@ -223,7 +224,9 @@ TEST(Sampler, DeltasReconcileExactlyWithEndOfRunStats)
     harness::TraceSet traces = wl.trace(tpcd::QueryId::Q6);
 
     obs::Sampler sampler(5000); // small epoch: many samples
-    sim::SimStats stats = harness::runCold(cfg, traces, &sampler);
+    harness::RunOptions ro;
+    ro.sampler = &sampler;
+    sim::SimStats stats = harness::runCold(cfg, traces, ro);
 
     ASSERT_GT(sampler.samples().size(), 2u);
     for (std::size_t p = 0; p < stats.procs.size(); ++p)
@@ -247,8 +250,9 @@ TEST(Sampler, ObservesEveryRunOfASequence)
     harness::TraceSet b = wl.trace(tpcd::QueryId::Q6, 23);
 
     obs::Sampler sampler(5000);
-    std::vector<sim::SimStats> runs =
-        harness::runSequence(cfg, {&a, &b}, &sampler);
+    harness::RunOptions ro;
+    ro.sampler = &sampler;
+    std::vector<sim::SimStats> runs = harness::runSequence(cfg, {&a, &b}, ro);
 
     ASSERT_EQ(runs.size(), 2u);
     for (unsigned r = 0; r < 2; ++r)
@@ -262,7 +266,9 @@ TEST(Sampler, JsonSeriesMatchesSamples)
     harness::TraceSet traces = wl.trace(tpcd::QueryId::Q6);
 
     obs::Sampler sampler(10000);
-    harness::runCold(sim::MachineConfig::baseline(), traces, &sampler);
+    harness::RunOptions ro;
+    ro.sampler = &sampler;
+    harness::runCold(sim::MachineConfig::baseline(), traces, ro);
 
     obs::Json j = sampler.toJson();
     EXPECT_EQ(j.find("epochCycles")->asUint(), 10000u);
@@ -365,9 +371,10 @@ TEST(Timeline, ChromeExportIsValidTraceEventJson)
     harness::TraceSet traces = wl.trace(tpcd::QueryId::Q3);
 
     obs::Timeline tl;
+    harness::RunOptions ro;
+    ro.timeline = &tl;
     sim::SimStats stats =
-        harness::runCold(sim::MachineConfig::baseline(), traces, nullptr,
-                         &tl);
+        harness::runCold(sim::MachineConfig::baseline(), traces, ro);
     ASSERT_GT(tl.spanCount(), 0u);
 
     std::ostringstream os;

@@ -4,8 +4,8 @@
  * never silently accept an argument. Unknown flags, flags outside the
  * binary's declared subset, and malformed values all exit(2) with a
  * diagnostic; --help exits(0). (An earlier version of the harness
- * ignored anything it did not recognize, so `--engine=par` typos ran the
- * default configuration without a word.)
+ * ignored anything it did not recognize, so flag typos ran the default
+ * configuration without a word.)
  */
 
 #include <string>
@@ -50,47 +50,39 @@ TEST(BenchOptionsDeath, UnknownFlagIsFatal)
 {
     EXPECT_EXIT(parseArgs({"--bogus"}), testing::ExitedWithCode(2),
                 "unknown option '--bogus'");
+    // The retired engine knobs: a stale script must stop, not run.
+    for (const char *knob : {"engine", "threads", "window"}) {
+        const std::string flag = std::string("--") + knob;
+        EXPECT_EXIT(parseArgs({flag, "1"}), testing::ExitedWithCode(2),
+                    "unknown option '" + flag + "'");
+    }
 }
 
 TEST(BenchOptionsDeath, MisspelledFlagIsFatal)
 {
     // The regression that motivated this file: a typo used to fall
     // through silently and the bench ran with defaults.
-    EXPECT_EXIT(parseArgs({"--engin", "par"}), testing::ExitedWithCode(2),
-                "unknown option '--engin'");
+    EXPECT_EXIT(parseArgs({"--scael", "tiny"}), testing::ExitedWithCode(2),
+                "unknown option '--scael'");
 }
 
 TEST(BenchOptionsDeath, PositionalArgumentIsFatal)
 {
-    EXPECT_EXIT(parseArgs({"par"}), testing::ExitedWithCode(2),
-                "unknown option 'par'");
+    EXPECT_EXIT(parseArgs({"tiny"}), testing::ExitedWithCode(2),
+                "unknown option 'tiny'");
 }
 
 TEST(BenchOptionsDeath, FlagOutsideDeclaredSubsetIsFatal)
 {
-    EXPECT_EXIT(parseArgs({"--json", "out.json"}, BenchOptions::kEngine),
+    EXPECT_EXIT(parseArgs({"--json", "out.json"}, BenchOptions::kScale),
                 testing::ExitedWithCode(2),
                 "not supported by this bench");
 }
 
 TEST(BenchOptionsDeath, MissingValueIsFatal)
 {
-    EXPECT_EXIT(parseArgs({"--engine"}), testing::ExitedWithCode(2),
+    EXPECT_EXIT(parseArgs({"--json"}), testing::ExitedWithCode(2),
                 "requires a value");
-}
-
-TEST(BenchOptionsDeath, BadEngineNameIsFatal)
-{
-    EXPECT_EXIT(parseArgs({"--engine", "parr"}),
-                testing::ExitedWithCode(2), "unknown --engine 'parr'");
-}
-
-TEST(BenchOptionsDeath, BadWindowValueIsFatal)
-{
-    EXPECT_EXIT(parseArgs({"--window", "0"}), testing::ExitedWithCode(2),
-                "positive count");
-    EXPECT_EXIT(parseArgs({"--window", "8k"}), testing::ExitedWithCode(2),
-                "positive count");
 }
 
 TEST(BenchOptionsDeath, BadScaleIsFatal)
@@ -106,19 +98,9 @@ TEST(BenchOptionsDeath, HelpExitsZero)
     EXPECT_EXIT(parseArgs({"--help"}), testing::ExitedWithCode(0), "");
 }
 
-TEST(BenchOptions, EngineFlagsParse)
-{
-    BenchOptions o =
-        parseArgs({"--engine", "par", "--threads", "3", "--window", "512"});
-    EXPECT_EQ(o.engine.kind, sim::EngineKind::Par);
-    EXPECT_EQ(o.engine.threads, 3u);
-    EXPECT_EQ(o.engine.windowCycles, 512u);
-}
-
 TEST(BenchOptions, DefaultsToSequentialEngine)
 {
     BenchOptions o = parseArgs({});
-    EXPECT_EQ(o.engine.kind, sim::EngineKind::Seq);
     EXPECT_EQ(o.scale, "paper");
 }
 
@@ -192,11 +174,11 @@ TEST(BenchOptionsDeath, UnknownPlacementPolicyIsFatal)
 TEST(BenchOptionsDeath, PlacementFlagsOutsideDeclaredSubsetAreFatal)
 {
     EXPECT_EXIT(parseArgs({"--placement", "interleave"},
-                          BenchOptions::kEngine),
+                          BenchOptions::kScale),
                 testing::ExitedWithCode(2),
                 "option '--placement' is not supported");
     EXPECT_EXIT(parseArgs({"--page-profile", "h.json"},
-                          BenchOptions::kEngine),
+                          BenchOptions::kScale),
                 testing::ExitedWithCode(2),
                 "option '--page-profile' is not supported");
 }
@@ -228,17 +210,17 @@ TEST(BenchOptionsDeath, MalformedMemprofCountIsFatal)
 
 TEST(BenchOptionsDeath, MemprofOutsideDeclaredSubsetIsFatal)
 {
-    EXPECT_EXIT(parseArgs({"--memprof"}, BenchOptions::kEngine),
+    EXPECT_EXIT(parseArgs({"--memprof"}, BenchOptions::kScale),
                 testing::ExitedWithCode(2),
                 "option '--memprof' is not supported");
 }
 
 TEST(BenchOptionsDeath, RobustnessFlagsOutsideDeclaredSubsetAreFatal)
 {
-    EXPECT_EXIT(parseArgs({"--check"}, BenchOptions::kEngine),
+    EXPECT_EXIT(parseArgs({"--check"}, BenchOptions::kScale),
                 testing::ExitedWithCode(2),
                 "option '--check' is not supported");
-    EXPECT_EXIT(parseArgs({"--fault-rate", "0.1"}, BenchOptions::kEngine),
+    EXPECT_EXIT(parseArgs({"--fault-rate", "0.1"}, BenchOptions::kScale),
                 testing::ExitedWithCode(2),
                 "option '--fault-rate' is not supported");
 }

@@ -6,10 +6,9 @@
  * shed, half-open trial, recovery, re-trip, probe-shed reopen), the
  * lazily materialized OutageTable against the FaultPlan's pure outage
  * function, and the scheduler-level behaviours: deadline timeouts,
- * capacity-0 admission, node-failure migration, engine invariance of a
- * fully resilient stream, registry export, and the clean SimError
- * (guardedMain exit 3) when every processor fails permanently with
- * queries still queued.
+ * capacity-0 admission, node-failure migration, registry export, and
+ * the clean SimError (guardedMain exit 3) when every processor fails
+ * permanently with queries still queued.
  */
 
 #include <string>
@@ -592,44 +591,6 @@ TEST_F(ResilienceSim, NodeFailureMigratesToSurvivingProcessor)
     // nothing can shed; the migration budget was never exhausted here.
     EXPECT_EQ(r.resilience.total.goodput + r.resilience.total.abandoned,
               8u);
-}
-
-TEST_F(ResilienceSim, ResilientStreamIsEngineInvariant)
-{
-    // The full layer at once: deadlines, bounded queue, breaker, node
-    // failures. Fresh per-run caches and fault plans so the *entire*
-    // report document — cache stats and fired-outage log included — must
-    // serialize byte-identically across engines.
-    sched::StreamConfig scfg;
-    scfg.instances = 10;
-    scfg.seed = 17;
-    scfg.mode = sched::ArrivalMode::Open;
-    scfg.meanInterarrival = 250000;
-
-    sched::ResilienceConfig res;
-    res.deadline = 2200000;
-    res.queueCapacity = 3;
-    res.shed = ShedPolicy::DeadlineAware;
-    res.nodeFailures = true;
-    res.breakerThreshold = 0.5;
-    res.breakerWindow = 2;
-    res.breakerCooldown = 500000;
-
-    const sim::FaultConfig fc = nodeFaultConfig(9, 2000000, 1200000);
-    auto dump = [&](const sim::EngineConfig &engine) {
-        sim::FaultPlan plan(fc);
-        sched::TraceCache fresh;
-        harness::RunOptions opts;
-        opts.engine = engine;
-        opts.faults = &plan;
-        sched::StreamScheduler s(*wl_, sim::MachineConfig::baseline(),
-                                 scfg, opts, &fresh, res);
-        return toJson(s.run(), /*include_run_stats=*/true).dump();
-    };
-
-    const std::string seq = dump(sim::EngineConfig::seq());
-    EXPECT_EQ(seq, dump(sim::EngineConfig::par(1)));
-    EXPECT_EQ(seq, dump(sim::EngineConfig::par(3)));
 }
 
 TEST_F(ResilienceSim, RegistryExportsResilienceCounters)

@@ -3,7 +3,7 @@
  * Unit and property tests for the query-stream scheduler (src/sched/):
  * percentile math (exact on small vectors, non-finite-guarded), the
  * deterministic stream model, the content-addressed trace cache, capture
- * purity, engine invariance of whole streams, cache-hit bit-identity,
+ * purity, cache-hit bit-identity,
  * dispatch-policy ordering, and the cold-cache repeat-instance
  * regression for state leaking across back-to-back instances.
  *
@@ -343,15 +343,13 @@ class SchedSim : public ::testing::Test
     }
 
     static sched::StreamResult run(const sched::StreamConfig &scfg,
-                                   const sim::EngineConfig &engine,
                                    sched::TraceCache *cache,
                                    unsigned nprocs = 4)
     {
-        harness::RunOptions opts;
-        opts.engine = engine;
         sim::MachineConfig cfg = sim::MachineConfig::baseline();
         cfg.nprocs = nprocs;
-        sched::StreamScheduler s(*wl_, cfg, scfg, opts, cache);
+        sched::StreamScheduler s(*wl_, cfg, scfg, harness::RunOptions{},
+                                 cache);
         return s.run();
     }
 
@@ -380,43 +378,6 @@ TEST_F(SchedSim, StreamCaptureIsPure)
     EXPECT_NE(a.contentHash(), other.contentHash());
 }
 
-TEST_F(SchedSim, StreamIsEngineInvariant)
-{
-    sched::StreamConfig scfg;
-    scfg.instances = 6;
-    scfg.seed = 42;
-    scfg.mode = sched::ArrivalMode::Closed;
-    scfg.clients = 3;
-    // A fresh cache per run so even the report's cache-accounting block
-    // must match: the entire document is engine-invariant.
-    sched::TraceCache c1, c2, c3;
-    const std::string seq =
-        toJson(run(scfg, sim::EngineConfig::seq(), &c1), true).dump();
-    const std::string par1 =
-        toJson(run(scfg, sim::EngineConfig::par(1), &c2), true).dump();
-    const std::string par3 =
-        toJson(run(scfg, sim::EngineConfig::par(3), &c3), true).dump();
-    EXPECT_EQ(seq, par1);
-    EXPECT_EQ(par1, par3);
-}
-
-TEST_F(SchedSim, OpenLoopStreamIsEngineInvariant)
-{
-    sched::StreamConfig scfg;
-    scfg.instances = 5;
-    scfg.seed = 11;
-    scfg.mode = sched::ArrivalMode::Open;
-    scfg.meanInterarrival = 300000;
-    // The suite-shared cache serves both runs here, so cache accounting
-    // legitimately differs (the second run hits what the first filled);
-    // every simulated number must still match.
-    obs::Json seq = toJson(run(scfg, sim::EngineConfig::seq(), cache_), true);
-    obs::Json par2 =
-        toJson(run(scfg, sim::EngineConfig::par(2), cache_), true);
-    EXPECT_EQ(seq["records"].dump(), par2["records"].dump());
-    EXPECT_EQ(seq["summary"].dump(), par2["summary"].dump());
-}
-
 TEST_F(SchedSim, CacheHitPathIsBitIdenticalToMissPath)
 {
     sched::StreamConfig scfg;
@@ -427,10 +388,8 @@ TEST_F(SchedSim, CacheHitPathIsBitIdenticalToMissPath)
     scfg.paramVariants = 2; // force repeats -> cache hits
 
     sched::TraceCache fresh;
-    sched::StreamResult with_cache =
-        run(scfg, sim::EngineConfig::seq(), &fresh);
-    sched::StreamResult without =
-        run(scfg, sim::EngineConfig::seq(), nullptr);
+    sched::StreamResult with_cache = run(scfg, &fresh);
+    sched::StreamResult without = run(scfg, nullptr);
 
     // Cache accounting differs by construction...
     EXPECT_EQ(without.cache.hits + without.cache.misses, 0u);
@@ -443,7 +402,7 @@ TEST_F(SchedSim, CacheHitPathIsBitIdenticalToMissPath)
     EXPECT_EQ(a["summary"].dump(), b["summary"].dump());
 
     // Run the cached stream again: now everything hits, still identical.
-    sched::StreamResult warm = run(scfg, sim::EngineConfig::seq(), &fresh);
+    sched::StreamResult warm = run(scfg, &fresh);
     obs::Json w = toJson(warm, true);
     EXPECT_EQ(w["records"].dump(), a["records"].dump());
     EXPECT_GT(warm.cache.hits, with_cache.cache.hits);
@@ -460,14 +419,13 @@ TEST_F(SchedSim, PolicyOrdersDispatchDeterministically)
     scfg.clients = 6; // each instance is a client's first -> all at 0
 
     scfg.policy = sched::Policy::Fifo;
-    sched::StreamResult fifo =
-        run(scfg, sim::EngineConfig::seq(), cache_, 1);
+    sched::StreamResult fifo = run(scfg, cache_, 1);
     ASSERT_EQ(fifo.records.size(), 6u);
     for (unsigned i = 0; i < 6; ++i)
         EXPECT_EQ(fifo.records[i].inst.id, i);
 
     scfg.policy = sched::Policy::ShortestClass;
-    sched::StreamResult sc = run(scfg, sim::EngineConfig::seq(), cache_, 1);
+    sched::StreamResult sc = run(scfg, cache_, 1);
     std::vector<sched::QueryInstance> expect = sched::makeInstances(scfg);
     std::stable_sort(expect.begin(), expect.end(),
                      [](const sched::QueryInstance &a,
@@ -498,7 +456,7 @@ TEST_F(SchedSim, ColdCacheRepeatInstancesAreIdentical)
     scfg.coldCache = true;
     scfg.policy = sched::Policy::Fifo;
 
-    sched::StreamResult r = run(scfg, sim::EngineConfig::seq(), nullptr, 1);
+    sched::StreamResult r = run(scfg, nullptr, 1);
     ASSERT_EQ(r.records.size(), 2u);
     const sched::InstanceRecord &a = r.records[0];
     const sched::InstanceRecord &b = r.records[1];
@@ -517,7 +475,6 @@ TEST_F(SchedSim, CheckedStreamIsViolationFree)
 
     sim::InvariantChecker checker;
     harness::RunOptions opts;
-    opts.engine = sim::EngineConfig::par(2);
     opts.checker = &checker;
     sim::MachineConfig cfg = sim::MachineConfig::baseline();
     sched::StreamScheduler s(*wl_, cfg, scfg, opts, cache_);
@@ -535,7 +492,6 @@ TEST_F(SchedSim, RegistryExportsSchedAndCacheCounters)
     scfg.meanInterarrival = 400000;
 
     harness::RunOptions opts;
-    opts.engine = sim::EngineConfig::seq();
     obs::Json snapshot;
     opts.registrySnapshot = &snapshot;
     sched::TraceCache fresh;

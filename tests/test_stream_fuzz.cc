@@ -2,14 +2,14 @@
  * @file
  * Stream fuzz layer: 50 seeded random stream configurations (query
  * mixes, arrival disciplines, client populations, dispatch policies),
- * each asserting the two differential properties the scheduler's
- * determinism argument rests on:
+ * each replayed twice:
  *
- *  1. seq/par equality — the full stream report (per-instance SimStats
- *     included) is bit-identical between the sequential engine and the
- *     parallel engine at a seed-chosen host thread count;
- *  2. invariant cleanliness — replaying the whole stream under the
- *     coherence invariant checker reports zero violations.
+ *  1. checker differential — the stream report (per-instance SimStats
+ *     included) is bit-identical with and without the coherence
+ *     invariant checker attached, so the checker observes without
+ *     perturbing;
+ *  2. invariant cleanliness — the checked replay reports zero
+ *     violations, and every instance completes exactly once.
  *
  * One tiny workload and one trace cache are shared across all seeds
  * (captures are pure; test_sched.cc asserts that), which keeps the 50
@@ -18,9 +18,10 @@
  * The second fifty-seed pass turns the resilience layer on — random
  * deadlines, queue bounds, shed policies, breaker thresholds and a
  * NodeFailure-only fault plan per seed — and tightens the differential
- * property to the FULL report document: with one cache per engine both
- * replays see identical fetch sequences, so even the cache and fired-
- * outage accounting must serialize byte-identically.
+ * property to the FULL report document: with one cache per replay both
+ * see identical fetch sequences, so even the cache and fired-outage
+ * accounting must serialize byte-identically. Every instance must
+ * resolve exactly once as goodput, timeout, shed or abandoned.
  */
 
 #include <string>
@@ -101,30 +102,31 @@ TEST_F(StreamFuzz, FiftySeedsDifferentialAndChecked)
     for (std::uint64_t seed = 1; seed <= 50; ++seed) {
         SCOPED_TRACE("fuzz seed " + std::to_string(seed));
         const sched::StreamConfig cfg = fuzzConfig(seed);
-        const unsigned threads = 1 + unsigned(seed % 4);
 
-        harness::RunOptions seq_opts;
-        seq_opts.engine = sim::EngineConfig::seq();
-        sched::StreamScheduler seq_sched(
-            *wl_, sim::MachineConfig::baseline(), cfg, seq_opts, cache_);
-        obs::Json seq_json = toJson(seq_sched.run(), true);
+        sched::StreamScheduler plain_sched(*wl_,
+                                           sim::MachineConfig::baseline(),
+                                           cfg, harness::RunOptions{},
+                                           cache_);
+        obs::Json plain_json = toJson(plain_sched.run(), true);
 
         sim::InvariantChecker checker;
-        harness::RunOptions par_opts;
-        par_opts.engine = sim::EngineConfig::par(threads);
-        par_opts.checker = &checker;
-        sched::StreamScheduler par_sched(
-            *wl_, sim::MachineConfig::baseline(), cfg, par_opts, cache_);
-        obs::Json par_json = toJson(par_sched.run(), true);
+        harness::RunOptions checked_opts;
+        checked_opts.checker = &checker;
+        sched::StreamScheduler checked_sched(
+            *wl_, sim::MachineConfig::baseline(), cfg, checked_opts, cache_);
+        const sched::StreamResult checked = checked_sched.run();
+        obs::Json checked_json = toJson(checked, true);
 
         // The shared cache's hit/miss accounting differs between the two
         // replays by design; every simulated number must not.
-        ASSERT_EQ(seq_json["records"].dump(), par_json["records"].dump())
-            << "stream diverged between engines (par threads=" << threads
-            << ")";
-        ASSERT_EQ(seq_json["summary"].dump(), par_json["summary"].dump());
+        ASSERT_EQ(plain_json["records"].dump(),
+                  checked_json["records"].dump())
+            << "the checker perturbed the stream";
+        ASSERT_EQ(plain_json["summary"].dump(),
+                  checked_json["summary"].dump());
         ASSERT_EQ(checker.totalViolations(), 0u)
-            << "invariant violations in checked par replay";
+            << "invariant violations in the checked replay";
+        ASSERT_EQ(checked.records.size(), cfg.instances);
     }
 }
 
@@ -177,49 +179,46 @@ fuzzFaults(std::uint64_t seed)
 
 TEST_F(StreamFuzz, FiftyResilientSeedsDifferentialAndChecked)
 {
-    // One cache per engine, shared across all seeds: both engines see
+    // One cache per replay, shared across all seeds: both replays see
     // the same fetch sequence, so the full reports — cache stats
     // included — must match byte for byte at every seed.
-    sched::TraceCache cache_seq, cache_par;
+    sched::TraceCache cache_plain, cache_checked;
     for (std::uint64_t seed = 1; seed <= 50; ++seed) {
         SCOPED_TRACE("resilient fuzz seed " + std::to_string(seed));
         const sched::StreamConfig cfg = fuzzConfig(seed);
         const sched::ResilienceConfig res = fuzzResilience(seed);
         const sim::FaultConfig fc = fuzzFaults(seed);
-        const unsigned threads = 1 + unsigned(seed % 4);
 
-        // Fresh fault plans per run: windows are a pure function of the
-        // seed, so both plans yield identical outage schedules, and the
-        // per-plan fired-failure log stays per-engine.
-        sim::FaultPlan seq_plan(fc);
-        harness::RunOptions seq_opts;
-        seq_opts.engine = sim::EngineConfig::seq();
-        seq_opts.faults = &seq_plan;
-        sched::StreamScheduler seq_sched(*wl_,
-                                         sim::MachineConfig::baseline(),
-                                         cfg, seq_opts, &cache_seq, res);
-        const sched::StreamResult seq_res = seq_sched.run();
-        const std::string seq_json = toJson(seq_res, true).dump();
+        // Fresh fault plans per replay: windows are a pure function of
+        // the seed, so both plans yield identical outage schedules, and
+        // the per-plan fired-failure log stays per-replay.
+        sim::FaultPlan plain_plan(fc);
+        harness::RunOptions plain_opts;
+        plain_opts.faults = &plain_plan;
+        sched::StreamScheduler plain_sched(*wl_,
+                                           sim::MachineConfig::baseline(),
+                                           cfg, plain_opts, &cache_plain,
+                                           res);
+        const std::string plain_json =
+            toJson(plain_sched.run(), true).dump();
 
-        sim::FaultPlan par_plan(fc);
+        sim::FaultPlan checked_plan(fc);
         sim::InvariantChecker checker;
-        harness::RunOptions par_opts;
-        par_opts.engine = sim::EngineConfig::par(threads);
-        par_opts.faults = &par_plan;
-        par_opts.checker = &checker;
-        sched::StreamScheduler par_sched(*wl_,
-                                         sim::MachineConfig::baseline(),
-                                         cfg, par_opts, &cache_par, res);
-        const std::string par_json = toJson(par_sched.run(), true).dump();
+        harness::RunOptions checked_opts;
+        checked_opts.faults = &checked_plan;
+        checked_opts.checker = &checker;
+        sched::StreamScheduler checked_sched(
+            *wl_, sim::MachineConfig::baseline(), cfg, checked_opts,
+            &cache_checked, res);
+        const sched::StreamResult checked = checked_sched.run();
 
-        ASSERT_EQ(seq_json, par_json)
-            << "resilient stream diverged between engines (par threads="
-            << threads << ")";
+        ASSERT_EQ(plain_json, toJson(checked, true).dump())
+            << "the checker perturbed the resilient stream";
         ASSERT_EQ(checker.totalViolations(), 0u)
-            << "invariant violations in checked par replay";
+            << "invariant violations in the checked replay";
 
         // Conservation at every seed: each instance resolves exactly once.
-        const sched::ClassSlo &t = seq_res.resilience.total;
+        const sched::ClassSlo &t = checked.resilience.total;
         ASSERT_EQ(t.submitted, cfg.instances);
         ASSERT_EQ(t.goodput + t.timeouts + t.shedQueue + t.shedBreaker +
                       t.shedExpired + t.abandoned,
