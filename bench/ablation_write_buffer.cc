@@ -44,8 +44,6 @@ run(harness::BenchContext &ctx)
     harness::TraceSet q6 = wl.trace(tpcd::QueryId::Q6);
 
     tpcd::TpcdDb update_db(tpcd::ScaleConfig::paperScale(), 1);
-    session.wireMemprof(ctx.config(),
-                        &wl.db().catalog());
     harness::TraceSet uf1;
     uf1.push_back(traceUF1(update_db, update_db.scale().orders() / 20));
 
@@ -86,5 +84,5 @@ main(int argc, char **argv)
 {
     return harness::benchMain("ablation_write_buffer", argc, argv,
                                  harness::BenchOptions::kPlacement |
-            harness::BenchOptions::kJson | harness::BenchOptions::kMemprof, run);
+            harness::BenchOptions::kJson, run);
 }

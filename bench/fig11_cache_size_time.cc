@@ -54,8 +54,6 @@ run(harness::BenchContext &ctx)
     harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
     session.usePlacement(harness::makePlacement(
         opts, ctx.config(), &wl.db().space()));
-    session.wireMemprof(ctx.config(),
-                        &wl.db().catalog());
 
     for (tpcd::QueryId q : {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
                             tpcd::QueryId::Q12}) {
@@ -99,5 +97,5 @@ main(int argc, char **argv)
 {
     return harness::benchMain("fig11_cache_size_time", argc, argv,
                                  harness::BenchOptions::kPlacement |
-            harness::BenchOptions::kJson | harness::BenchOptions::kMemprof, run);
+            harness::BenchOptions::kJson, run);
 }

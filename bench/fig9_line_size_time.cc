@@ -29,8 +29,6 @@ run(harness::BenchContext &ctx)
     harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
     session.usePlacement(harness::makePlacement(
         opts, ctx.config(), &wl.db().space()));
-    session.wireMemprof(ctx.config(),
-                        &wl.db().catalog());
     constexpr std::size_t kLineSizes[] = {16, 32, 64, 128, 256};
 
     for (tpcd::QueryId q : {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
@@ -79,5 +77,5 @@ main(int argc, char **argv)
 {
     return harness::benchMain("fig9_line_size_time", argc, argv,
                                  harness::BenchOptions::kPlacement |
-            harness::BenchOptions::kJson | harness::BenchOptions::kMemprof, run);
+            harness::BenchOptions::kJson, run);
 }

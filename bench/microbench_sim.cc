@@ -203,16 +203,15 @@ BM_MachineReplay4(benchmark::State &state)
 BENCHMARK(BM_MachineReplay4);
 
 /**
- * Cost of the --memprof machinery on the machine replay path. Four
- * processors mix reads and stores over an overlapping shared region, so
- * the word-granular sharing tracker (when enabled) exercises both its
- * store-recording and its miss-classification paths. "off" is the
- * default configuration every non-profiled run uses and must stay within
- * noise of the pre-memprof replay; "on" prices the tracker itself;
- * "profile" adds the profiler's own trace replay on top.
+ * Cost of --memprof on the machine replay path. Four processors mix
+ * reads and stores over an overlapping shared region, so the profile's
+ * per-line counting and the word-granular sharing tracker exercise both
+ * their store-recording and their miss-classification paths. "off" is
+ * the default configuration every non-profiled run uses; "on" attaches
+ * a memory profile.
  */
 void
-BM_MemprofOverhead(benchmark::State &state, int mode)
+BM_MemprofOverhead(benchmark::State &state, bool on)
 {
     MachineConfig cfg = MachineConfig::baseline();
     std::vector<TraceStream> streams(cfg.nprocs);
@@ -236,22 +235,17 @@ BM_MemprofOverhead(benchmark::State &state, int mode)
         ptrs.push_back(&s);
     for (auto _ : state) {
         Machine m(cfg);
-        m.enableSharing(mode >= 1);
+        dss::obs::MemProfile prof(cfg);
+        m.setMemProfile(on ? &prof : nullptr);
         SimStats s = m.run(ptrs);
         benchmark::DoNotOptimize(s.procs[0].l2CoheTrue);
-        if (mode >= 2) {
-            dss::obs::MemProfile prof({cfg.coherent(), cfg.nprocs, cfg.pageBytes});
-            prof.addTraces(ptrs);
-            benchmark::DoNotOptimize(prof.lines().size());
-        }
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(streams[0].size() * cfg.nprocs));
 }
-BENCHMARK_CAPTURE(BM_MemprofOverhead, off, 0);
-BENCHMARK_CAPTURE(BM_MemprofOverhead, on, 1);
-BENCHMARK_CAPTURE(BM_MemprofOverhead, profile, 2);
+BENCHMARK_CAPTURE(BM_MemprofOverhead, off, false);
+BENCHMARK_CAPTURE(BM_MemprofOverhead, on, true);
 
 } // namespace
 

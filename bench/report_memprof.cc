@@ -8,9 +8,10 @@
  * classification.
  *
  * With --json, the report document carries one full "memprof" profile
- * per query plus the per-processor registry counters, which is what
- * scripts/check.sh --memprof validates (schema and the
- * cohe == cohe.true + cohe.false invariant).
+ * per query plus the per-processor registry counters. The profile is the
+ * machine's own per-line attribution, so its totals equal those counters
+ * (MemProfile.ReportReconcilesWithMachineCounters builds this report and
+ * checks every identity).
  */
 
 #include <iostream>
@@ -49,20 +50,14 @@ run(harness::BenchContext &ctx)
     obs::RegionMap symbols;
     wl.db().catalog().describeRegions(symbols);
 
-    obs::MemProfileConfig mc;
-    mc.l2 = cfg.coherent();
-    mc.nprocs = cfg.nprocs;
-    mc.pageBytes = cfg.pageBytes;
-
     obs::Json profiles = obs::Json::object();
     for (tpcd::QueryId q : {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
                             tpcd::QueryId::Q12}) {
         harness::TraceSet traces = wl.trace(q);
 
-        // One fresh profile per query, so each report is cold-cache and
-        // independent of query order (the profiler replays the traces
-        // itself).
-        obs::MemProfile prof(mc);
+        // One fresh profile per query, attached to that query's cold
+        // run, so each report is independent of query order.
+        obs::MemProfile prof(cfg);
         harness::RunOptions ro = session.runOptions();
         ro.memProfile = &prof;
         sim::SimStats stats = harness::runCold(cfg, traces, ro);

@@ -26,10 +26,11 @@
 # seed — the injected fault/retry schedule must be byte-identical
 # (FaultPlan keys on trace positions, never on page homes).
 #
-# --memprof runs the line-level memory-profiler checks: the memprof unit
-# tests, report_memprof over Q3/Q6/Q12 at tiny scale, JSON schema
-# validation of the profile block and the per-processor
-# cohe == cohe.true + cohe.false counter invariant.
+# --memprof runs the line-level memory-profile checks: the memprof unit
+# tests, which include the profile schema and its reconciliation with
+# the machine counters (cohe == cohe.true + cohe.false per processor,
+# profile totals == machine totals), then report_memprof over
+# Q3/Q6/Q12 at tiny scale.
 #
 # --stream runs the query-stream scheduler checks: the sched unit,
 # property, fuzz and golden tests, then throughput_stream at tiny scale
@@ -389,68 +390,15 @@ print("check.sh: machine preset listing, paper1997 byte-identity,"
 PYMACHINE
 }
 
-# Line-level memory-profiler checks against an existing build dir: unit
-# tests, then report_memprof over Q3/Q6/Q12 with --memprof, validating
-# the JSON profile schema and the per-processor
-# cohe == cohe.true + cohe.false registry invariant.
+# Line-level memory-profile checks against an existing build dir: the
+# unit tests (among them the schema and machine-counter reconciliation of
+# a report_memprof-style report), then a report_memprof smoke run over
+# Q3/Q6/Q12 with --memprof and --json.
 memprof_checks() {
     local dir="$1"
     "$dir/tests/dss_tests" --gtest_filter='MemProfile.*:RegionMap.*'
-
-    local out_json="$dir/memprof_check.json"
     "$dir/bench/report_memprof" --memprof --scale tiny \
-        --json "$out_json" > /dev/null
-
-    python3 - "$out_json" <<'EOF'
-import json, sys
-
-doc = json.load(open(sys.argv[1]))
-
-def fail(msg):
-    sys.stderr.write("check.sh: memprof: %s\n" % msg)
-    sys.exit(1)
-
-profiles = doc.get("memprof")
-if not isinstance(profiles, dict) or not profiles:
-    fail("no memprof block in %s" % sys.argv[1])
-for query, prof in profiles.items():
-    for key in ("lineBytes", "nprocs", "linesTracked", "lines",
-                "classes", "sets", "totals"):
-        if key not in prof:
-            fail("%s profile lacks '%s'" % (query, key))
-    fields = ("accesses", "reads", "writes", "cold", "conf",
-              "coheTrue", "coheFalse", "upgrades", "hop3")
-    for rec in prof["lines"]:
-        for key in ("addr", "symbol", "class") + fields:
-            if key not in rec:
-                fail("%s line record lacks '%s'" % (query, key))
-    for rec in prof["sets"]:
-        if "set" not in rec or "conf" not in rec:
-            fail("%s set record malformed" % query)
-    tot = prof["totals"]
-    summed = {f: 0 for f in fields}
-    for cls in prof["classes"].values():
-        for f in fields:
-            summed[f] += cls[f]
-    if any(summed[f] != tot[f] for f in fields):
-        fail("%s class totals do not sum to profile totals" % query)
-    if not prof["lines"]:
-        fail("%s profile tracked no lines" % query)
-
-# Per-proc coherence split invariant from the machine's own counters.
-for run in doc["runs"]:
-    c = run["counters"]
-    procs = {k.split(".")[0] for k in c if k.startswith("proc")}
-    for p in sorted(procs):
-        cohe = c.get(p + ".miss.cohe", 0)
-        true = c.get(p + ".miss.cohe.true", 0)
-        false_ = c.get(p + ".miss.cohe.false", 0)
-        if cohe != true + false_:
-            fail("%s %s: cohe %d != true %d + false %d"
-                 % (run["label"], p, cohe, true, false_))
-
-print("check.sh: memprof schema and counter invariant OK")
-EOF
+        --json "$dir/memprof_check.json" > /dev/null
 }
 
 # Protocol-verification checks against an existing build dir: the
@@ -571,8 +519,8 @@ if [[ "$chaos" -eq 1 ]]; then
         "$dir/tests/dss_tests" --gtest_filter="$filter"
         "$dir/bench/chaos_fault_sweep" --scale tiny
         "$dir/bench/ablation_placement" --scale tiny --check
-        # The profiler's replay and the sharing tracker under the
-        # sanitizer, plus the schema/invariant checks.
+        # The profile hooks and the sharing tracker under the
+        # sanitizer, plus the schema/reconciliation tests.
         memprof_checks "$dir"
         # Stream scheduler fuzz + schema under the sanitizer.
         stream_checks "$dir"

@@ -393,11 +393,7 @@ ObsSession::wireMemprof(const sim::MachineConfig &cfg,
 {
     if (!opts_.memprof)
         return;
-    obs::MemProfileConfig mc;
-    mc.l2 = cfg.coherent();
-    mc.nprocs = cfg.nprocs;
-    mc.pageBytes = cfg.pageBytes;
-    memProfile_ = std::make_unique<obs::MemProfile>(mc);
+    memProfile_ = std::make_unique<obs::MemProfile>(cfg);
     symbols_ = obs::RegionMap();
     if (catalog)
         catalog->describeRegions(symbols_);

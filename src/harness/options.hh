@@ -188,7 +188,7 @@ class ObsSession
     /** Page-access histogram; null unless --page-profile was given. */
     obs::PageProfile *pageProfile() { return pageProfile_.get(); }
 
-    /** Line-level memory profiler; null unless wireMemprof() armed it. */
+    /** Line-level memory profile; null unless wireMemprof() armed it. */
     obs::MemProfile *memProfile() { return memProfile_.get(); }
 
     /** Retry/abort accounting shared by every runOptions() of this
@@ -196,12 +196,14 @@ class ObsSession
     RetryStats &retryStats() { return retryStats_; }
 
     /**
-     * Arm the --memprof profiler for machine geometry @p cfg and,
+     * Arm the --memprof profile for machine geometry @p cfg and,
      * when @p catalog is given, load the structure symbol map from it.
      * No-op unless --memprof was passed, so benches can call this
      * unconditionally once the machine config and database exist (and
-     * before the first runOptions()). The report lands in the JSON
-     * document's "memprof" block on finish().
+     * before the first runOptions()). Every run that uses the profile
+     * must share @p cfg's coherent-level geometry (Machine::setMemProfile
+     * throws otherwise). The report lands in the JSON document's
+     * "memprof" block on finish().
      */
     void wireMemprof(const sim::MachineConfig &cfg,
                      const db::Catalog *catalog = nullptr);

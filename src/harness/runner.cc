@@ -1,6 +1,5 @@
 #include "harness/runner.hh"
 
-#include "obs/memprof.hh"
 #include "obs/pageprof.hh"
 #include "obs/registry.hh"
 #include "sim/check.hh"
@@ -45,8 +44,6 @@ runOnMachine(sim::Machine &machine,
     machine.resetStats(); // per-run home counters (Fig 12 repetitions)
     if (opts.pageProfile)
         opts.pageProfile->addTraces(traces);
-    if (opts.memProfile)
-        opts.memProfile->addTraces(traces);
     if (opts.faults)
         opts.faults->scheduleQuery();
     return retryOnAbort(
@@ -68,8 +65,7 @@ runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
     machine.setChecker(opts.checker);
     machine.setFaultPlan(opts.faults);
     machine.setPlacement(opts.placement);
-    if (opts.memProfile)
-        machine.enableSharing(true);
+    machine.setMemProfile(opts.memProfile);
     sim::SimStats stats = runOnMachine(machine, tracePtrs(traces), opts);
     snapshotRegistry(machine, opts);
     return stats;
@@ -84,8 +80,7 @@ runSequence(const sim::MachineConfig &cfg,
     machine.setChecker(opts.checker);
     machine.setFaultPlan(opts.faults);
     machine.setPlacement(opts.placement);
-    if (opts.memProfile)
-        machine.enableSharing(true);
+    machine.setMemProfile(opts.memProfile);
     std::vector<sim::SimStats> out;
     out.reserve(sequence.size());
     for (const TraceSet *traces : sequence)

@@ -52,9 +52,10 @@ struct RunOptions
     sim::PlacementPolicy *placement = nullptr;
     /** Per-page access histogram collector (--page-profile). */
     obs::PageProfile *pageProfile = nullptr;
-    /** Line-level memory profiler (--memprof). Feeding it also enables
-     * the machine's word-granular sharing tracker, so the registry's
-     * per-proc miss.cohe.{true,false} counters come alive. */
+    /** Line-level memory profile (--memprof), attached to the machine
+     * with Machine::setMemProfile: it also brings up the word-granular
+     * sharing tracker, so the registry's per-proc miss.cohe.{true,false}
+     * counters come alive. */
     obs::MemProfile *memProfile = nullptr;
     RetryPolicy retry;
     std::ostream *log = nullptr; ///< retry/abort notes; null = quiet
@@ -75,13 +76,13 @@ sim::SimStats runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
 
 /**
  * One guarded run on a caller-owned machine: reset the per-run lifetime
- * stats, feed the page/memory profilers, schedule and retry
+ * stats, feed the page profiler, schedule and retry
  * FaultPlan-injected aborts, and replay @p traces. This is the
  * primitive runCold/runSequence chain per trace set — exposed so
  * the stream scheduler (src/sched/) can drive many back-to-back query
  * instances on one warm machine it wires up itself (setChecker,
- * setFaultPlan, setPlacement are the caller's responsibility; they are
- * per-machine, not per-run).
+ * setFaultPlan, setPlacement, setMemProfile are the caller's
+ * responsibility; they are per-machine, not per-run).
  */
 sim::SimStats runOnMachine(sim::Machine &machine,
                            const std::vector<const sim::TraceStream *> &traces,

@@ -1,73 +1,67 @@
 /**
  * @file
- * Line-level memory profiler: per-cache-line access/miss histories with
+ * Line-level memory profile: per-cache-line access/miss records with
  * true/false-sharing classification, hot-set conflict attribution and
  * structure symbolization.
  *
- * The Machine's ProcStats aggregate misses per data class; this profiler
+ * The Machine's ProcStats aggregate misses per data class; this profile
  * answers the next question the paper's Section 5 raises — *which lines*
  * inside a class ping-pong, and whether their coherence misses are true
  * sharing (the words written remotely are the words read) or false
  * sharing (victims of line-granularity invalidation only).
  *
- * Determinism: the profiler never observes the Machine. It replays the
- * captured per-processor trace streams itself, in a canonical
- * position-major round-robin order (position 0 of every processor, then
- * position 1, ...), against its own model caches and SharingTracker.
- * Because traces are pure per-processor artifacts of the (read-only
- * TPC-D) database engine, the profile is a pure function of the traces:
- * bit-identical across reruns and independent of the machine's timing.
+ * The profile is the Machine's own attribution, not a model of it.
+ * Attach one with Machine::setMemProfile and the access pipelines
+ * (sim/machine.cc) count each event on its coherent-level line at the
+ * statement that bumps the machine counter it refines. Every total with
+ * a machine counterpart therefore equals it exactly:
+ *  - reads / writes: ProcStats::reads / writes (a lock acquire's
+ *    test&set is a read, a lock release a write);
+ *  - cold / conf / coheTrue + coheFalse: the coherent level's read-miss
+ *    table (ProcStats::cohMisses()), and coheTrue / coheFalse equal
+ *    ProcStats::l2CoheTrue / l2CoheFalse;
+ *  - hop3: the 3-hop column of ProcStats::hopsByGroup.
+ * upgrades (stores and lock RMWs that hit a coherent-level copy they do
+ * not own exclusively) has no machine counter of its own. The profile
+ * sees the L1, timing and page placement like every other statistic,
+ * and it repeats bit for bit when the same configuration is rerun.
  *
- * The model is the machine's L2 level without L1 filtering or timing:
- * one model L2 per processor (machine geometry), MESI-style exclusivity
- * (a write invalidates every remote copy), word-granular last-writer
- * masks for the true/false split, and a dirty-owner map for 3-hop
- * detection. Absolute event counts therefore differ slightly from the
- * Machine's ProcStats (the L1 absorbs some read hits); the profile's
- * job is *ranking and classification*, which the L2-level replay
- * captures exactly.
+ * One profile describes one coherent-level geometry: setMemProfile
+ * rejects a machine whose coherent line size or set count differs.
  */
 
 #ifndef DSS_OBS_MEMPROF_HH
 #define DSS_OBS_MEMPROF_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/json.hh"
 #include "obs/lineinfo.hh"
 #include "sim/addr.hh"
-#include "sim/cache.hh"
-#include "sim/sharing.hh"
-#include "sim/trace.hh"
 
 namespace dss {
-namespace obs {
+namespace sim {
+struct MachineConfig;
+} // namespace sim
 
-/** Geometry of the profiler's model replay. */
-struct MemProfileConfig
-{
-    sim::CacheConfig l2;  ///< model cache geometry (use the machine's L2)
-    unsigned nprocs = 4;
-    /** Page size for home-node attribution (3-hop detection). */
-    std::size_t pageBytes = 8 * 1024;
-};
+namespace obs {
 
 /** Everything recorded about one cache line. */
 struct LineRecord
 {
     sim::DataClass cls = sim::DataClass::Priv; ///< class of first access
-    std::uint64_t accesses = 0;
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0; ///< includes lock acquire/release stores
+    std::uint64_t reads = 0;  ///< includes lock acquire test&sets
+    std::uint64_t writes = 0; ///< includes lock release stores
     std::uint64_t cold = 0;
     std::uint64_t conf = 0;
     std::uint64_t coheTrue = 0;
     std::uint64_t coheFalse = 0;
-    std::uint64_t upgrades = 0; ///< writes that hit a non-exclusive copy
-    std::uint64_t hop3 = 0;     ///< misses served dirty from a third node
+    std::uint64_t upgrades = 0; ///< stores/RMWs on a non-exclusive copy
+    std::uint64_t hop3 = 0;     ///< 3-hop directory transactions
+
+    std::uint64_t accesses() const { return reads + writes; }
 
     std::uint64_t
     misses() const
@@ -79,26 +73,33 @@ struct LineRecord
 class MemProfile
 {
   public:
-    explicit MemProfile(const MemProfileConfig &cfg);
+    /** An empty profile for the coherent-level geometry of @p cfg. */
+    explicit MemProfile(const sim::MachineConfig &cfg);
 
     /**
-     * Replay @p traces (indexed by processor) through the model,
-     * accumulating into the profile. Callable repeatedly: warm-start
-     * chains keep the model caches warm across calls, mirroring the
-     * Machine's warm runs.
+     * Machine hook: count one event of an access to @p addr, in the field
+     * @p field of its coherent line's record and of @p cls's aggregate.
      */
-    void addTraces(const std::vector<const sim::TraceStream *> &traces);
+    void count(sim::Addr addr, sim::DataClass cls,
+               std::uint64_t LineRecord::*field);
 
-    /** Per-line records, keyed by line address (deterministic order). */
-    const std::map<sim::Addr, LineRecord> &lines() const { return lines_; }
+    /** Machine hook: attribute one conflict miss to cache set @p set. */
+    void countConflictSet(std::size_t set) { ++confBySet_[set]; }
+
+    std::size_t lineBytes() const { return lineBytes_; }
+    std::size_t numSets() const { return confBySet_.size(); }
+
+    /** Per-line records, keyed by line address. */
+    const std::unordered_map<sim::Addr, LineRecord> &lines() const
+    {
+        return lines_;
+    }
 
     /** Aggregate record over every line (totals row). */
     LineRecord totals() const;
 
     /** Conflict misses attributed to cache set @p s. */
     std::uint64_t confOfSet(std::size_t s) const { return confBySet_[s]; }
-
-    const MemProfileConfig &config() const { return cfg_; }
 
     /**
      * Serialize the profile:
@@ -113,22 +114,9 @@ class MemProfile
     Json toJson(unsigned top_n, const RegionMap *symbols = nullptr) const;
 
   private:
-    void replayOne(unsigned p, const sim::TraceEntry &e);
-    void read(unsigned p, sim::Addr addr, sim::DataClass cls,
-              unsigned size);
-    void write(unsigned p, sim::Addr addr, sim::DataClass cls,
-               unsigned size);
-    LineRecord &recordOf(sim::Addr line, sim::DataClass cls);
-    void classifyMiss(LineRecord &rec, unsigned p, sim::Addr addr,
-                      sim::Addr line, unsigned size, sim::MissType mt);
-    bool isThreeHop(unsigned p, sim::Addr line) const;
-
-    MemProfileConfig cfg_;
-    std::vector<std::unique_ptr<sim::Cache>> caches_; ///< one model L2/proc
-    sim::SharingTracker tracker_;
-    /** line address -> processor holding it dirty (model MESI owner). */
-    std::map<sim::Addr, unsigned> dirtyOwner_;
-    std::map<sim::Addr, LineRecord> lines_;
+    std::size_t lineBytes_;
+    unsigned nprocs_;
+    std::unordered_map<sim::Addr, LineRecord> lines_;
     /** Per-data-class aggregate (same fields as a line record). */
     LineRecord classes_[sim::kNumDataClasses];
     std::vector<std::uint64_t> confBySet_;

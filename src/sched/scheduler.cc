@@ -31,8 +31,7 @@ StreamScheduler::StreamScheduler(harness::Workload &workload,
     machine_.setChecker(opts_.checker);
     machine_.setFaultPlan(opts_.faults);
     machine_.setPlacement(opts_.placement);
-    if (opts_.memProfile)
-        machine_.enableSharing(true);
+    machine_.setMemProfile(opts_.memProfile);
 }
 
 unsigned

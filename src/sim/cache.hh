@@ -145,6 +145,13 @@ class Cache
     const CacheConfig &config() const { return cfg_; }
     std::size_t numSets() const { return numSets_; }
 
+    /** Set index of line address @p line_addr. */
+    std::size_t
+    setOf(Addr line_addr) const
+    {
+        return (line_addr / lineBytes_) & (numSets_ - 1);
+    }
+
     /**
      * Lifetime event counters (observability). Unlike the per-run
      * ProcStats kept by the Machine, these cover every access since the
@@ -174,12 +181,6 @@ class Cache
         bool dirty = false;
         std::uint64_t lru = 0;
     };
-
-    std::size_t
-    setOf(Addr line_addr) const
-    {
-        return (line_addr / lineBytes_) & (numSets_ - 1);
-    }
 
     Line *
     find(Addr addr)

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <stdexcept>
 
+#include "obs/memprof.hh"
 #include "obs/registry.hh"
 #include "obs/sampler.hh"
 #include "obs/timeline.hh"
@@ -129,26 +130,54 @@ Machine::resetMemoryState()
 }
 
 void
-Machine::enableSharing(bool on)
+Machine::setMemProfile(obs::MemProfile *profile)
 {
-    if (on) {
-        if (!sharing_)
-            sharing_ = std::make_unique<SharingTracker>(cfg_.nprocs);
-    } else {
+    if (profile && (profile->lineBytes() != cfg_.coherent().lineBytes ||
+                    profile->numSets() != nodes_[0]->coh().numSets())) {
+        obs::Json dump = obs::Json::object();
+        dump["profileLineBytes"] = profile->lineBytes();
+        dump["profileSets"] = profile->numSets();
+        dump["machineLineBytes"] = cfg_.coherent().lineBytes;
+        dump["machineSets"] = nodes_[0]->coh().numSets();
+        throw SimError("memory profile geometry differs from the "
+                       "machine's coherent level",
+                       std::move(dump));
+    }
+    prof_ = profile;
+    if (!prof_)
         sharing_.reset();
+    else if (!sharing_)
+        sharing_ = std::make_unique<SharingTracker>(cfg_.nprocs);
+}
+
+void
+Machine::profileMiss(ProcStats &st, ProcId p, Addr addr, DataClass cls,
+                     unsigned size, Addr l2_line, MissType mt)
+{
+    using obs::LineRecord;
+    if (mt == MissType::Cold) {
+        prof_->count(l2_line, cls, &LineRecord::cold);
+    } else if (mt == MissType::Conf) {
+        prof_->count(l2_line, cls, &LineRecord::conf);
+        prof_->countConflictSet(nodes_[p]->coh().setOf(l2_line));
+    } else {
+        const bool true_sharing = sharing_->isTrueSharing(
+            p, l2_line,
+            wordMaskOf(addr, size, l2_line, cfg_.coherent().lineBytes));
+        ++(true_sharing ? st.l2CoheTrue : st.l2CoheFalse);
+        prof_->count(l2_line, cls,
+                     true_sharing ? &LineRecord::coheTrue
+                                  : &LineRecord::coheFalse);
     }
 }
 
 void
-Machine::classifyCoheMiss(ProcStats &st, ProcId p, Addr addr, unsigned size,
-                          Addr l2_line) const
+Machine::countHop(ProcStats &st, DataClass cls, Addr l2_line,
+                  std::size_t hop)
 {
-    const WordMask wm =
-        wordMaskOf(addr, size, l2_line, cfg_.coherent().lineBytes);
-    if (sharing_->isTrueSharing(p, l2_line, wm))
-        ++st.l2CoheTrue;
-    else
-        ++st.l2CoheFalse;
+    ++st.hopsByGroup[static_cast<std::size_t>(groupOf(cls))][hop];
+    if (prof_ && hop == 2) // the 3-hop class
+        prof_->count(l2_line, cls, &obs::LineRecord::hop3);
 }
 
 void
@@ -338,6 +367,8 @@ Machine::readAccess(ProcId p, Addr addr, DataClass cls, unsigned size)
     const Addr l2_line = n.coh().lineAddrOf(addr);
 
     ++st.reads;
+    if (prof_)
+        prof_->count(addr, cls, &obs::LineRecord::reads);
 
     // Loads are satisfied by a matching store still in the write buffer.
     if (n.wb.containsLine(l1_line, r.clock)) {
@@ -393,15 +424,14 @@ Machine::readAccess(ProcId p, Addr addr, DataClass cls, unsigned size)
         } else {
             const MissType mt = n.coh().classifyMiss(addr);
             st.levelMisses[nlev - 1].add(cls, mt);
-            if (sharing_ && mt == MissType::Cohe)
-                classifyCoheMiss(st, p, addr, size, l2_line);
+            if (prof_)
+                profileMiss(st, p, addr, cls, size, l2_line, mt);
             const Directory::Entry v = dir_.entry(l2_line);
             const ProcId home = dir_.homeOf(l2_line);
             const bool dirty_else =
                 v.state == Directory::State::Dirty && v.owner != p;
-            st.hopsByGroup[static_cast<std::size_t>(groupOf(cls))]
-                          [Directory::hopClass(p, home, v.owner,
-                                               dirty_else)]++;
+            countHop(st, cls, l2_line,
+                     Directory::hopClass(p, home, v.owner, dirty_else));
             const Cycles qdelay = dir_.acquireController(home, r.clock);
             latency =
                 dir_.transactionLatency(p, home, v.owner, dirty_else) +
@@ -434,7 +464,6 @@ Machine::writeTransaction(ProcId p, Addr addr, DataClass cls,
     const Addr l2_line = n.coh().lineAddrOf(addr);
     const Directory::Entry v = dir_.entry(l2_line);
     const ProcId home = dir_.homeOf(l2_line);
-    const auto grp = static_cast<std::size_t>(groupOf(cls));
 
     Cycles drain;
     if (n.coh().contains(l2_line)) {
@@ -444,8 +473,10 @@ Machine::writeTransaction(ProcId p, Addr addr, DataClass cls,
             drain = cohHitLat_;
         } else {
             // Upgrade: invalidate the other sharers via the home node.
-            r.stats.hopsByGroup[grp]
-                [Directory::hopClass(p, home, p, false)]++;
+            if (prof_)
+                prof_->count(l2_line, cls, &obs::LineRecord::upgrades);
+            countHop(r.stats, cls, l2_line,
+                     Directory::hopClass(p, home, p, false));
             const Cycles qdelay = dir_.acquireController(home, r.clock);
             drain = dir_.transactionLatency(p, home, p, false) + qdelay;
         }
@@ -456,8 +487,8 @@ Machine::writeTransaction(ProcId p, Addr addr, DataClass cls,
         // structures and pick the line up on the next read miss.
         const bool dirty_else =
             v.state == Directory::State::Dirty && v.owner != p;
-        r.stats.hopsByGroup[grp]
-            [Directory::hopClass(p, home, v.owner, dirty_else)]++;
+        countHop(r.stats, cls, l2_line,
+                 Directory::hopClass(p, home, v.owner, dirty_else));
         const Cycles qdelay = dir_.acquireController(home, r.clock);
         drain = dir_.transactionLatency(p, home, v.owner, dirty_else) +
                 qdelay;
@@ -496,6 +527,8 @@ Machine::rmwAccess(ProcId p, Addr addr, DataClass cls, unsigned size)
     const Addr l2_line = n.coh().lineAddrOf(addr);
 
     ++st.reads;
+    if (prof_)
+        prof_->count(addr, cls, &obs::LineRecord::reads);
     const bool l1hit = n.l1().access(addr);
     if (l1hit) {
         ++st.l1Hits();
@@ -533,13 +566,15 @@ Machine::rmwAccess(ProcId p, Addr addr, DataClass cls, unsigned size)
         if (!l2has && !l1hit) {
             const MissType mt = n.coh().classifyMiss(addr);
             st.levelMisses[nlev - 1].add(cls, mt);
-            if (sharing_ && mt == MissType::Cohe)
-                classifyCoheMiss(st, p, addr, size, l2_line);
+            if (prof_)
+                profileMiss(st, p, addr, cls, size, l2_line, mt);
+        } else if (prof_ && l2has) {
+            prof_->count(l2_line, cls, &obs::LineRecord::upgrades);
         }
         const bool dirty_else =
             v.state == Directory::State::Dirty && v.owner != p;
-        st.hopsByGroup[static_cast<std::size_t>(groupOf(cls))]
-                      [Directory::hopClass(p, home, v.owner, dirty_else)]++;
+        countHop(st, cls, l2_line,
+                 Directory::hopClass(p, home, v.owner, dirty_else));
         const Cycles qdelay = dir_.acquireController(home, r.clock);
         latency = dir_.transactionLatency(p, home, v.owner, dirty_else) +
                   qdelay;
@@ -637,6 +672,8 @@ Machine::doWrite(ProcId p, const TraceEntry &e)
     Node &n = *nodes_[p];
     ProcRun &r = runs_[p];
     ++r.stats.writes;
+    if (prof_)
+        prof_->count(e.addr, e.cls, &obs::LineRecord::writes);
     r.stats.busy += cfg_.issueCyclesPerRef;
     span(p, obs::SpanKind::Busy, r.clock,
               r.clock + cfg_.issueCyclesPerRef);
@@ -1047,9 +1084,9 @@ Machine::registerStats(obs::Registry &reg, const std::string &prefix) const
              [](const ProcStats &s) { return s.prefetchesUseful; });
 
         // True/false-sharing split of the L2 coherence misses. The split
-        // counters stay zero unless enableSharing is on; when it is,
-        // miss.cohe.true + miss.cohe.false == miss.cohe exactly (the
-        // memprof check mode asserts this).
+        // counters stay zero unless a memory profile is attached; when
+        // one is, miss.cohe.true + miss.cohe.false == miss.cohe exactly
+        // (MemProfile.ReportReconcilesWithMachineCounters asserts this).
         proc("miss.cohe", [](const ProcStats &s) {
             std::uint64_t n = 0;
             for (std::size_t c = 0; c < kNumDataClasses; ++c)

@@ -42,6 +42,7 @@
 
 namespace dss {
 namespace obs {
+class MemProfile;
 class Registry;
 class Sampler;
 class Timeline;
@@ -177,17 +178,24 @@ class Machine
     const PlacementPolicy &placement() const { return *placement_; }
 
     /**
-     * Enable word-granular sharing tracking (sim/sharing.hh, the
-     * --memprof flag) so L2 coherence misses split into true vs. false
-     * sharing (ProcStats::l2CoheTrue/l2CoheFalse and the
-     * proc*.miss.cohe.{true,false} registry counters). Off by default;
-     * when off the pipelines pay a single null test inside the miss
-     * branches and the split counters stay zero. Enabling mid-experiment
-     * starts from an empty history, exactly like a cold classification.
+     * Attach a line-level memory profile (obs/memprof.hh, the --memprof
+     * flag); pass nullptr to detach. The access pipelines count each
+     * reference, coherent-level read miss, upgrade and 3-hop transaction
+     * on its line in the profile. An attached profile also brings up the
+     * word-granular sharing tracker (sim/sharing.hh) that splits
+     * coherence misses into true vs. false sharing
+     * (ProcStats::l2CoheTrue/l2CoheFalse and the
+     * proc*.miss.cohe.{true,false} registry counters); detaching drops
+     * it, and a later attach starts from an empty history, exactly like
+     * a cold classification. With no profile the pipelines pay one null
+     * test per reference and the split counters stay zero. Borrowed: the
+     * profile must outlive the machine's use of it.
+     * @throws SimError if the profile's coherent line size or set count
+     *         differs from this machine's.
      */
-    void enableSharing(bool on);
+    void setMemProfile(obs::MemProfile *profile);
 
-    /** The sharing tracker, or nullptr when disabled (tests). */
+    /** The sharing tracker, or nullptr with no profile attached (tests). */
     const SharingTracker *sharingTracker() const { return sharing_.get(); }
 
     /**
@@ -399,12 +407,19 @@ class Machine
     void applyStoreDir(ProcId p, Addr l2_line, WordMask wmask);
 
     /**
-     * Split-classify an L2 coherence miss into true/false sharing. Only
-     * called from the pipelines' (rare) Cohe miss branches, and a no-op
-     * unless enableSharing is on. Reads the tracker without mutating it.
+     * Profile a coherent-level read or RMW miss of type @p mt: split a
+     * coherence miss into true/false sharing (into @p st and the
+     * profile) and count the miss, and a conflict miss's cache set, on
+     * its line. Only called with a profile attached. Reads the sharing
+     * tracker without mutating it.
      */
-    void classifyCoheMiss(ProcStats &st, ProcId p, Addr addr, unsigned size,
-                          Addr l2_line) const;
+    void profileMiss(ProcStats &st, ProcId p, Addr addr, DataClass cls,
+                     unsigned size, Addr l2_line, MissType mt);
+
+    /** Count one demand directory transaction of hop class @p hop by
+     * @p st's processor on @p l2_line (a 3-hop one in the profile too). */
+    void countHop(ProcStats &st, DataClass cls, Addr l2_line,
+                  std::size_t hop);
 
     void step(ProcId p);
     /** Dispatch one explicit entry through the pipelines (step() body;
@@ -448,7 +463,8 @@ class Machine
     obs::Timeline *timeline_ = nullptr; ///< valid during run()
     FaultPlan *fault_ = nullptr;        ///< optional, not owned
     InvariantChecker *checker_ = nullptr; ///< optional, not owned
-    /** Word-granular sharing tracker; null unless enableSharing(true). */
+    obs::MemProfile *prof_ = nullptr;     ///< optional, not owned
+    /** Word-granular sharing tracker; exists only while prof_ is set. */
     std::unique_ptr<SharingTracker> sharing_;
     /** Fallback interleave policy owned by the machine, so homeOf always
      * takes the precomputed-table fast path even with no external

@@ -16,9 +16,9 @@
  * order, so classification is a pure function of the replay.
  *
  * Cost: one unordered_map entry (nprocs x 8 bytes) per line that has ever
- * been written while shared. The tracker is only instantiated when the
- * profiler is enabled (Machine::enableSharing), so the disabled hot path
- * pays a single null-pointer test inside the (already rare) miss branches.
+ * been written while shared. The Machine instantiates the tracker only
+ * while a memory profile is attached (Machine::setMemProfile); without
+ * one the directory transitions pay a single null-pointer test.
  */
 
 #ifndef DSS_SIM_SHARING_HH

@@ -120,8 +120,8 @@ struct ProcStats
 
     /**
      * True/false-sharing split of the coherent-level coherence misses,
-     * populated only when word-granular sharing tracking is enabled
-     * (Machine::enableSharing); both stay zero otherwise. When enabled,
+     * populated only while a memory profile is attached
+     * (Machine::setMemProfile); both stay zero otherwise. When attached,
      * l2CoheTrue + l2CoheFalse equals the Cohe column of the coherent
      * level's MissTable summed over classes, by construction. Like
      * hopsByGroup, deliberately absent from obs::toJson(ProcStats) —

@@ -13,8 +13,8 @@
  * The model does NOT reimplement the protocol: every transition is
  * driven through the real sim:: pipelines via Machine's model-stepping
  * hooks. A transition is (abstract state) -> load into a scratch Machine
- * -> one synthesized event through the real readAccessT / writeTransactionT
- * / rmwAccessT / faultEvictT / doLockAcq / doLockRel code -> extract the
+ * -> one synthesized event through the real readAccess / writeTransaction
+ * / rmwAccess / faultEvict / doLockAcq / doLockRel code -> extract the
  * abstract successor. Events are load / store / evict / writeback-drain /
  * lock-acquire / lock-release; no workload trace is involved.
  *

@@ -152,7 +152,7 @@ TEST(CheckerCorruption, RecordingCapsButCountsKeepGrowing)
 // and the checker must not perturb a single statistic.
 // ---------------------------------------------------------------------
 
-TEST(CheckerClean, HeadlineQueriesHaveZeroViolationsOnBothEngines)
+TEST(CheckerClean, HeadlineQueriesHaveZeroViolationsAndUnchangedStats)
 {
     harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
     // The prefetching machine too: prefetch fills are checked with no
@@ -231,7 +231,7 @@ fuzzTrace(std::mt19937_64 &rng, ProcId p)
     return t;
 }
 
-TEST(CheckerClean, FiftySeedFuzzZeroViolationsAndSeqParEquality)
+TEST(CheckerClean, FiftySeedFuzzZeroViolationsAndUnchangedStats)
 {
     const MachineConfig cfg = MachineConfig::baseline();
     for (std::uint64_t seed = 1; seed <= 50; ++seed) {

@@ -94,7 +94,7 @@ ptrsOf(const std::vector<TraceStream> &traces)
     return ptrs;
 }
 
-TEST(FaultDeterminism, ScheduleIdenticalAcrossEnginesAndThreadCounts)
+TEST(FaultDeterminism, ScheduleAndStatsRepeatOnRerun)
 {
     // The schedule and the stats it perturbs repeat exactly when the same
     // seed replays the same traces on a fresh machine.

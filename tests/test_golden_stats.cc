@@ -75,17 +75,17 @@ checkGolden(tpcd::QueryId q, const std::string &fixture)
                  "stats for " + tpcd::queryName(q));
 }
 
-TEST(GoldenStats, Q3Seq)
+TEST(GoldenStats, Q3)
 {
     checkGolden(tpcd::QueryId::Q3, "q3.json");
 }
 
-TEST(GoldenStats, Q6Seq)
+TEST(GoldenStats, Q6)
 {
     checkGolden(tpcd::QueryId::Q6, "q6.json");
 }
 
-TEST(GoldenStats, Q12Seq)
+TEST(GoldenStats, Q12)
 {
     checkGolden(tpcd::QueryId::Q12, "q12.json");
 }
@@ -95,7 +95,7 @@ TEST(GoldenStats, Q12Seq)
  * trace cache on) through the scheduler, full per-instance statistics
  * included.
  */
-TEST(GoldenStats, StreamSeq)
+TEST(GoldenStats, Stream)
 {
     harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
     sched::StreamConfig scfg;
@@ -119,7 +119,7 @@ TEST(GoldenStats, StreamSeq)
  * failures with migration — pinned with its SLO accounting, breaker
  * states and fired outages.
  */
-TEST(GoldenStats, StreamResilienceSeq)
+TEST(GoldenStats, StreamResilience)
 {
     harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
     sched::StreamConfig scfg;

@@ -98,7 +98,7 @@ TEST(BenchOptionsDeath, HelpExitsZero)
     EXPECT_EXIT(parseArgs({"--help"}), testing::ExitedWithCode(0), "");
 }
 
-TEST(BenchOptions, DefaultsToSequentialEngine)
+TEST(BenchOptions, DefaultsToPaperScale)
 {
     BenchOptions o = parseArgs({});
     EXPECT_EQ(o.scale, "paper");
@@ -400,6 +400,17 @@ TEST(MachineValidation, RejectsUndersizedCacheSizes)
     // 16-byte L1 cannot hold even one 32 B line.
     EXPECT_THROW(sim::MachineConfig::baseline().withCacheSizes(16, 1 << 20),
                  sim::SimError);
+}
+
+TEST(MachineValidation, RejectsBadProcessorCounts)
+{
+    // The directory's sharer mask holds 1..64 processors.
+    sim::MachineConfig cfg = sim::MachineConfig::baseline();
+    for (unsigned nprocs : {0u, 65u}) {
+        cfg.nprocs = nprocs;
+        EXPECT_THROW(cfg.validate(), sim::SimError) << nprocs;
+        EXPECT_THROW(sim::Machine m(cfg), sim::SimError) << nprocs;
+    }
 }
 
 TEST(MachineValidation, RejectsNonMonotoneLatencies)

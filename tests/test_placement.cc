@@ -196,7 +196,7 @@ TEST(Placement, FirstTouchClaimsByTracePositionNotProcessorOrder)
     EXPECT_EQ(policy->homeOf(page), 2u);
 }
 
-TEST(Placement, FirstTouchIdenticalAcrossEnginesAndThreads)
+TEST(Placement, FirstTouchRepeatsOnRerun)
 {
     // Four processors with overlapping page footprints: proc p streams
     // over pages [p, p+4), so most pages have several claimants and the
@@ -247,7 +247,7 @@ TEST(Placement, FirstTouchIdenticalAcrossEnginesAndThreads)
     EXPECT_EQ(first.statsJson, again.statsJson);
 }
 
-TEST(Placement, FirstTouchIdenticalAcrossEnginesOnRealQuery)
+TEST(Placement, FirstTouchRepeatsOnRerunOfRealQuery)
 {
     harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
     harness::TraceSet traces = wl.trace(tpcd::QueryId::Q3);
