@@ -9,11 +9,9 @@
  * policy and shows where the demand transactions land (local / 2-hop /
  * 3-hop) next to the paper-style time breakdown.
  *
- * The profile policy is exercised end-to-end in-process: the per-page
- * access histogram is collected from the traces, round-tripped through
- * its JSON wire format (the same bytes --page-profile writes and
- * --placement profile:<path> reads back), and used to home each page at
- * its majority accessor.
+ * The profile policy homes each page at its majority accessor over the
+ * very traces it places (PlacementPolicy::beginRun counts them), exactly
+ * as `--placement profile` does in any other bench.
  *
  * Expected shapes: interleave scatters homes uniformly, so ~1/N of
  * demand transactions are local. first-touch and profile home pages at
@@ -32,7 +30,6 @@
 #include "harness/options.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "obs/pageprof.hh"
 
 using namespace dss;
 
@@ -61,13 +58,6 @@ run(harness::BenchContext &ctx)
                             tpcd::QueryId::Q12}) {
         harness::TraceSet traces = wl.trace(q);
 
-        // The profile policy's first pass: histogram the traces and
-        // round-trip through the --page-profile JSON format.
-        obs::PageProfile prof(cfg.pageBytes);
-        prof.addTraces(harness::tracePtrs(traces));
-        const std::vector<sim::PageAccessCounts> hist =
-            obs::PageProfile::parse(prof.toJson(), cfg.pageBytes);
-
         harness::TextTable tab({"policy", "exec cycles", "Busy%", "Mem%",
                                 "MSync%", "local", "2-hop", "3-hop",
                                 "3-hop vs interleave"});
@@ -87,7 +77,7 @@ run(harness::BenchContext &ctx)
                     sim::PlacementPolicy::classAffinity(g, wl.db().space());
                 break;
               case sim::PlacementKind::Profile:
-                policy = sim::PlacementPolicy::profile(g, hist);
+                policy = sim::PlacementPolicy::profile(g);
                 break;
             }
 

@@ -59,14 +59,14 @@ BENCHMARK(BM_CacheMissFill);
 void
 BM_DirectoryTransaction(benchmark::State &state)
 {
-    LatencyConfig lat;
-    Directory dir(4, 64, 8192, AddressSpace::kPrivateBase,
-                  AddressSpace::kPrivateStride, lat);
+    Directory dir(4, 64, LatencyConfig{});
+    auto policy = PlacementPolicy::interleave(
+        {4, 8192, AddressSpace::kPrivateBase, AddressSpace::kPrivateStride});
     Addr a = 0x1000'0000;
     for (auto _ : state) {
         Directory::Entry &e = dir.entry(a);
         e.state = Directory::State::Shared;
-        ProcId home = dir.homeOf(a);
+        ProcId home = policy->homeOf(a);
         benchmark::DoNotOptimize(
             dir.transactionLatency(0, home, 0, false));
         a += 64;
@@ -74,38 +74,17 @@ BM_DirectoryTransaction(benchmark::State &state)
 }
 BENCHMARK(BM_DirectoryTransaction);
 
-/** The historical hardwired home rule: per-access div/mod chain. */
-void
-BM_HomeOfLegacy(benchmark::State &state)
-{
-    LatencyConfig lat;
-    Directory dir(4, 64, 8192, AddressSpace::kPrivateBase,
-                  AddressSpace::kPrivateStride, lat);
-    // No policy attached: Directory::homeOf falls back to the legacy
-    // formula, exactly what every access paid before the placement layer.
-    Addr a = 0x1000'0000;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(dir.homeOf(a));
-        a = 0x1000'0000 + ((a + 64) & (64 * 1024 * 1024 - 1));
-    }
-}
-BENCHMARK(BM_HomeOfLegacy);
-
-/** The placement layer's flat page->home table (the new hot path). */
+/** The placement layer's flat page->home table (the machine's hot path). */
 void
 BM_HomeOfTable(benchmark::State &state)
 {
-    LatencyConfig lat;
-    Directory dir(4, 64, 8192, AddressSpace::kPrivateBase,
-                  AddressSpace::kPrivateStride, lat);
     auto policy = PlacementPolicy::interleave(
         {4, 8192, AddressSpace::kPrivateBase, AddressSpace::kPrivateStride});
     // Cover the whole touched range so every lookup hits the table.
     policy->pinPage(0x1000'0000 + (64 * 1024 * 1024 - 1), 0);
-    dir.setPlacement(policy.get());
     Addr a = 0x1000'0000;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(dir.homeOf(a));
+        benchmark::DoNotOptimize(policy->homeOf(a));
         a = 0x1000'0000 + ((a + 64) & (64 * 1024 * 1024 - 1));
     }
 }

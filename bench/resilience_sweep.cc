@@ -19,9 +19,9 @@
  *  - breaker recovery: a class whose breaker tripped during the failure
  *    window recovers (a half-open probe closed it) by stream end
  *
- * Knobs: the stream flags (--stream, --stream-seed, --stream-policy,
- * --trace-cache) plus the resilience flags (--deadline, --queue-cap,
- * --shed, --breaker) and --fault-seed for the outage schedule.
+ * Knobs: the stream flags (--stream, --stream-seed, --stream-policy)
+ * plus the resilience flags (--deadline, --queue-cap, --shed, --breaker)
+ * and --fault-seed for the outage schedule.
  */
 
 #include <iostream>
@@ -106,8 +106,7 @@ run(harness::BenchContext &ctx)
 
     // Captures are pure, so the shared cache never influences simulated
     // results.
-    sched::TraceCache cacheStore(opts.traceCacheCapacity);
-    sched::TraceCache *cache = opts.traceCache ? &cacheStore : nullptr;
+    sched::TraceCache cache;
 
     sched::StreamConfig base;
     base.instances = instances;
@@ -140,7 +139,7 @@ run(harness::BenchContext &ctx)
             fc.nodeMeanUpCycles = 6000000;
             fc.nodeDownCycles = 1500000;
 
-            const PointResult pt = runPoint(wl, cfg, scfg, res, fc, cache);
+            const PointResult pt = runPoint(wl, cfg, scfg, res, fc, &cache);
             const std::string label = "gap" + std::to_string(gap) +
                                       " rate" + harness::fixed(rate, 2);
 
@@ -215,7 +214,7 @@ run(harness::BenchContext &ctx)
         fc.nodeMeanUpCycles = 2000000;
         fc.nodeDownCycles = 2000000;
 
-        const PointResult pt = runPoint(wl, cfg, scfg, bres, fc, cache);
+        const PointResult pt = runPoint(wl, cfg, scfg, bres, fc, &cache);
         const sched::ResilienceReport &rep = pt.result.resilience;
         if (rep.breakerTrips == 0)
             violate("breaker scenario: breaker never tripped");
@@ -248,7 +247,7 @@ run(harness::BenchContext &ctx)
         solo.paramVariants = 1;
         harness::RunOptions ro;
         ro.registrySnapshot = session.registrySlot();
-        sched::StreamScheduler s(wl, cfg, solo, ro, cache);
+        sched::StreamScheduler s(wl, cfg, solo, ro, &cache);
         sched::StreamResult r = s.run();
         session.addRun("solo " + tpcd::queryName(q),
                        r.records.front().stats);

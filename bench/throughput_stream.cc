@@ -3,7 +3,7 @@
  * Query-stream throughput: the scheduler (src/sched/) admitting seeded
  * streams of Q3/Q6/Q12 instances onto the simulated machine.
  *
- * Three experiments:
+ * Two experiments:
  *
  *  1. Closed-loop sweep: offered load (concurrent clients) x processor
  *     count. Reports makespan, completed queries per million simulated
@@ -11,18 +11,16 @@
  *  2. Open-loop sweep: exponential arrivals at decreasing mean
  *     inter-arrival gaps (rising offered load) on the 4-processor
  *     baseline — the p95-vs-load curve of EXPERIMENTS.md.
- *  3. Trace-cache validation: the heaviest closed-loop point run twice,
- *     cache off vs on, asserting the two stream reports (every
- *     per-instance simulation statistic included) are bit-identical and
- *     reporting the host wall-clock speedup the cache buys.
+ *
+ * Every point draws its traces from one shared trace cache; its hit and
+ * miss counts are printed per point.
  *
  * Stream knobs: --stream <n>, --stream-seed <s>,
- * --stream-policy <fifo|shortest>, --trace-cache <on|off|N>.
+ * --stream-policy <fifo|shortest>.
  * Resilience knobs (src/sched/resilience.hh): --deadline <cycles>,
  * --queue-cap <n>, --shed <newest|class|deadline>, --breaker <p>.
  */
 
-#include <chrono>
 #include <iostream>
 
 #include "harness/bench_main.hh"
@@ -33,28 +31,6 @@
 using namespace dss;
 
 namespace {
-
-struct TimedRun
-{
-    sched::StreamResult result;
-    double hostSeconds = 0;
-};
-
-TimedRun
-runStream(harness::Workload &wl, const sim::MachineConfig &cfg,
-          const sched::StreamConfig &scfg, harness::RunOptions ro,
-          sched::TraceCache *cache,
-          const sched::ResilienceConfig &res = sched::ResilienceConfig())
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    sched::StreamScheduler sched(wl, cfg, scfg, ro, cache, res);
-    TimedRun out;
-    out.result = sched.run();
-    out.hostSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return out;
-}
 
 void
 printPoint(const std::string &label, const sched::StreamResult &r)
@@ -86,8 +62,7 @@ run(harness::BenchContext &ctx)
 
     std::cout << "=== Query-stream throughput (" << instances
               << " instances, seed " << opts.streamSeed << ", "
-              << opts.streamPolicy << ", trace cache "
-              << (opts.traceCache ? "on" : "off") << ") ===\n\n";
+              << opts.streamPolicy << ") ===\n\n";
 
     harness::Workload wl(opts.scaleConfig(), 4);
     session.wireMemprof(ctx.config(),
@@ -95,8 +70,7 @@ run(harness::BenchContext &ctx)
 
     // One shared cache across every sweep point: captures are pure, so
     // entries are valid wherever the key recurs.
-    sched::TraceCache cache(opts.traceCacheCapacity);
-    sched::TraceCache *cachep = opts.traceCache ? &cache : nullptr;
+    sched::TraceCache cache;
 
     sched::StreamConfig base;
     base.instances = instances;
@@ -128,32 +102,31 @@ run(harness::BenchContext &ctx)
         solo.instances = 1;
         solo.mix = {{q, 1}};
         solo.paramVariants = 1;
-        TimedRun tr = runStream(wl, ctx.config(), solo,
-                                session.runOptions(), cachep);
+        sched::StreamScheduler sch(wl, ctx.config(), solo,
+                                   session.runOptions(), &cache);
         session.addRun("solo " + tpcd::queryName(q),
-                       tr.result.records.front().stats);
+                       sch.run().records.front().stats);
     }
 
     auto runPoint = [&](const std::string &label,
                         const sim::MachineConfig &cfg,
-                        const sched::StreamConfig &scfg,
-                        sched::TraceCache *c) {
+                        const sched::StreamConfig &scfg) {
         harness::RunOptions ro = session.runOptions();
         std::unique_ptr<sim::PlacementPolicy> pol =
             harness::makePlacement(opts, cfg, &wl.db().space());
         ro.placement = pol.get();
         obs::Json registry;
         ro.registrySnapshot = session.wantJson() ? &registry : nullptr;
-        TimedRun tr = runStream(wl, cfg, scfg, ro, c, res);
-        printPoint(label, tr.result);
+        sched::StreamScheduler sch(wl, cfg, scfg, ro, &cache, res);
+        const sched::StreamResult r = sch.run();
+        printPoint(label, r);
         if (session.wantJson()) {
-            obs::Json point = toJson(tr.result, /*include_run_stats=*/false);
+            obs::Json point = toJson(r, /*include_run_stats=*/false);
             point["label"] = label;
             point["nprocs"] = cfg.nprocs;
             point["registry"] = std::move(registry);
             figure["points"].push(std::move(point));
         }
-        return tr;
     };
 
     std::cout << "Closed-loop sweep: clients x processors\n";
@@ -168,7 +141,7 @@ run(harness::BenchContext &ctx)
             scfg.clients = clients;
             runPoint("closed c" + std::to_string(clients) + " p" +
                          std::to_string(nprocs),
-                     cfg, scfg, cachep);
+                     cfg, scfg);
         }
     }
 
@@ -178,59 +151,10 @@ run(harness::BenchContext &ctx)
         sched::StreamConfig scfg = base;
         scfg.mode = sched::ArrivalMode::Open;
         scfg.meanInterarrival = gap;
-        runPoint("open gap" + std::to_string(gap),
-                 ctx.config(), scfg, cachep);
+        runPoint("open gap" + std::to_string(gap), ctx.config(), scfg);
     }
 
-    // Cache validation: heaviest closed point, cold cache off vs on. The
-    // stream reports must match bit for bit — a cached trace replays the
-    // exact bytes a fresh capture would produce.
-    std::cout << "\nTrace-cache validation (closed c6 p4)\n";
-    sched::StreamConfig vcfg = base;
-    vcfg.mode = sched::ArrivalMode::Closed;
-    vcfg.clients = 6;
-    harness::RunOptions vro = session.runOptions();
-    std::unique_ptr<sim::PlacementPolicy> vpol = harness::makePlacement(
-        opts, ctx.config(), &wl.db().space());
-    vro.placement = vpol.get();
-    TimedRun uncached = runStream(wl, ctx.config(), vcfg,
-                                  vro, nullptr, res);
-    // Warm the cache with one pass, then measure the all-hit pass — the
-    // repeated-stream scenario the cache exists for. Each pass gets a
-    // fresh machine, so the warm pass cannot influence the measured one.
-    sched::TraceCache vcache(opts.traceCacheCapacity);
-    runStream(wl, ctx.config(), vcfg, vro, &vcache, res);
-    TimedRun cached = runStream(wl, ctx.config(), vcfg,
-                                vro, &vcache, res);
-    const std::string ju = toJson(uncached.result, true)["records"].dump();
-    const std::string jc = toJson(cached.result, true)["records"].dump();
-    if (ju != jc) {
-        std::cerr << "throughput_stream: cached stream diverged from "
-                     "uncached stream\n";
-        return 1;
-    }
-    const double speedup =
-        cached.hostSeconds > 0 ? uncached.hostSeconds / cached.hostSeconds
-                               : 0;
-    std::cout << "  bit-identical: yes  uncached="
-              << harness::fixed(uncached.hostSeconds, 3) << "s cached="
-              << harness::fixed(cached.hostSeconds, 3) << "s speedup="
-              << harness::fixed(speedup, 2) << "x (hits="
-              << vcache.stats().hits << " misses=" << vcache.stats().misses
-              << ")\n";
-    if (session.wantJson()) {
-        obs::Json v = obs::Json::object();
-        v["bit_identical"] = obs::Json(true);
-        v["uncached_seconds"] = obs::Json(uncached.hostSeconds);
-        v["cached_seconds"] = obs::Json(cached.hostSeconds);
-        v["speedup"] = obs::Json(speedup);
-        v["hits"] = obs::Json(vcache.stats().hits);
-        v["misses"] = obs::Json(vcache.stats().misses);
-        figure["cache_validation"] = std::move(v);
-    }
-
-    return session.finish(ctx.config(), std::cerr) ? 0
-                                                                     : 1;
+    return session.finish(ctx.config(), std::cerr) ? 0 : 1;
 }
 
 int

@@ -3,8 +3,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
-#include <stdexcept>
 
 #include "obs/stats_json.hh"
 #include "sim/spec.hh"
@@ -45,11 +43,7 @@ usage(std::ostream &os, const std::string &bench, unsigned flags)
            << "                   replays the same schedule)\n";
     if (flags & BenchOptions::kPlacement)
         os << "  --placement <p>  NUMA page-placement policy: "
-           << sim::PlacementSpec::help() << '\n'
-           << "  --page-profile <path>\n"
-           << "                   write the per-page access histogram "
-              "consumed by\n"
-           << "                   --placement profile:<path>\n";
+           << sim::PlacementSpec::help() << '\n';
     if (flags & BenchOptions::kStream)
         os << "  --stream <n>     query-stream scheduler: number of query\n"
               "                   instances in the arrival stream\n"
@@ -59,12 +53,7 @@ usage(std::ostream &os, const std::string &bench, unsigned flags)
               "                   per-instance parameters\n"
            << "  --stream-policy <p>\n"
               "                   dispatch policy: fifo (default), "
-              "shortest\n"
-           << "  --trace-cache <on|off|N>\n"
-              "                   reuse captured traces for repeated\n"
-              "                   (query, params) instances (default on);\n"
-              "                   N bounds the cache to N entries with\n"
-              "                   LRU eviction\n";
+              "shortest\n";
     if (flags & BenchOptions::kResilience)
         os << "  --deadline <c>   per-query deadline in simulated cycles;\n"
               "                   later completions abort as timeouts\n"
@@ -200,8 +189,6 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench_name,
                 std::exit(2);
             }
             opts.placement = *spec;
-        } else if (arg == "--page-profile" && supported(arg, kPlacement)) {
-            opts.pageProfilePath = needValue(i++);
         } else if (arg == "--stream" && supported(arg, kStream)) {
             opts.streamInstances =
                 static_cast<unsigned>(positive(i++, "--stream"));
@@ -223,23 +210,6 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench_name,
                 std::cerr << bench_name << ": unknown --stream-policy '"
                           << opts.streamPolicy << "' (fifo, shortest)\n";
                 std::exit(2);
-            }
-        } else if (arg == "--trace-cache" && supported(arg, kStream)) {
-            const std::string v = needValue(i++);
-            if (v == "on" || v == "off") {
-                opts.traceCache = (v == "on");
-            } else {
-                char *end = nullptr;
-                std::uint64_t n = std::strtoull(v.c_str(), &end, 10);
-                if (!end || *end != '\0' || v.empty() || n == 0) {
-                    std::cerr << bench_name
-                              << ": --trace-cache needs on|off or a "
-                                 "positive entry bound, got '"
-                              << v << "'\n";
-                    std::exit(2);
-                }
-                opts.traceCache = true;
-                opts.traceCacheCapacity = n;
             }
         } else if (arg == "--deadline" && supported(arg, kResilience)) {
             opts.deadlineCycles = positive(i++, "--deadline");
@@ -357,18 +327,7 @@ makePlacement(const BenchOptions &opts, const sim::MachineConfig &cfg,
     const sim::PlacementPolicy::Geometry g{
         cfg.nprocs, cfg.pageBytes, sim::AddressSpace::kPrivateBase,
         sim::AddressSpace::kPrivateStride};
-    std::vector<sim::PageAccessCounts> hist;
-    if (opts.placement.kind == sim::PlacementKind::Profile) {
-        std::ifstream is(opts.placement.arg);
-        if (!is)
-            throw std::runtime_error("--placement profile: cannot read " +
-                                     opts.placement.arg);
-        std::ostringstream text;
-        text << is.rdbuf();
-        hist = obs::PageProfile::parse(obs::Json::parse(text.str()),
-                                       cfg.pageBytes);
-    }
-    return sim::PlacementPolicy::make(opts.placement, g, space, &hist);
+    return sim::PlacementPolicy::make(opts.placement, g, space);
 }
 
 ObsSession::ObsSession(std::string bench_name, BenchOptions opts)
@@ -383,8 +342,6 @@ ObsSession::ObsSession(std::string bench_name, BenchOptions opts)
         checker_ = std::make_unique<sim::InvariantChecker>();
     if (opts_.faultRate > 0.0)
         faults_ = std::make_unique<sim::FaultPlan>(opts_.faultConfig());
-    if (!opts_.pageProfilePath.empty())
-        pageProfile_ = std::make_unique<obs::PageProfile>();
 }
 
 void
@@ -409,7 +366,6 @@ ObsSession::runOptions()
     ro.checker = checker_.get();
     ro.faults = faults_.get();
     ro.placement = placement_.get();
-    ro.pageProfile = pageProfile_.get();
     ro.memProfile = memProfile_.get();
     ro.log = &std::cerr;
     ro.retryStats = &retryStats_;
@@ -495,20 +451,6 @@ ObsSession::finish(const sim::MachineConfig &cfg, std::ostream &err)
         err << bench_ << ": memory profiler tracked "
             << memProfile_->lines().size() << " cache line(s), "
             << symbols_.size() << " symbol region(s)\n";
-    }
-    if (pageProfile_) {
-        std::ofstream os(opts_.pageProfilePath);
-        if (!os) {
-            err << bench_ << ": cannot write " << opts_.pageProfilePath
-                << '\n';
-            ok = false;
-        } else {
-            pageProfile_->toJson().dump(os, 2);
-            os << '\n';
-            err << "wrote page-access histogram ("
-                << pageProfile_->pageCount() << " pages) to "
-                << opts_.pageProfilePath << '\n';
-        }
     }
     if (timeline_) {
         std::ofstream os(opts_.tracePath);

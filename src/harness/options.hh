@@ -18,16 +18,11 @@
  *   --placement <name>[:arg]
  *                    NUMA page-placement policy (sim/placement.hh):
  *                    interleave (default), first-touch,
- *                    class-affinity[:node], profile:<histogram.json>
- *   --page-profile <path>
- *                    write the per-page access histogram consumed by
- *                    --placement=profile (obs/pageprof.hh)
+ *                    class-affinity[:node], profile
  *   --stream <n> / --stream-seed <s> / --stream-policy <fifo|shortest>
- *                  / --trace-cache <on|off|N>
  *                    query-stream scheduler knobs (src/sched/), accepted
  *                    only by stream-aware benches (the kStream flag bit,
- *                    deliberately outside kAll); --trace-cache N bounds
- *                    the cache to N entries with LRU eviction
+ *                    deliberately outside kAll)
  *   --machine <preset|file.json>
  *                    machine specification (sim/spec.hh): paper1997
  *                    (default), modern, scaled64, or a JSON spec file;
@@ -55,7 +50,6 @@
 #include "harness/runner.hh"
 #include "obs/json.hh"
 #include "obs/memprof.hh"
-#include "obs/pageprof.hh"
 #include "obs/sampler.hh"
 #include "obs/timeline.hh"
 #include "sim/check.hh"
@@ -77,12 +71,12 @@ struct BenchOptions
         kScale = 1u << 3,
         kCheck = 1u << 4, ///< --check
         kFault = 1u << 5, ///< --fault-seed / --fault-rate
-        kPlacement = 1u << 6, ///< --placement / --page-profile
+        kPlacement = 1u << 6, ///< --placement
         kMemprof = 1u << 7, ///< --memprof[=topN]
         kAll = kJson | kTrace | kEpoch | kScale | kCheck | kFault |
                kPlacement | kMemprof,
         /**
-         * --stream / --stream-seed / --stream-policy / --trace-cache.
+         * --stream / --stream-seed / --stream-policy.
          * NOT part of kAll: only stream-aware benches opt in (pass
          * kAll | kStream), so the 20 single-shot binaries keep rejecting
          * the stream flags exactly as before.
@@ -116,15 +110,11 @@ struct BenchOptions
     double faultRate = 0.0;      ///< --fault-rate; 0 = no injection
     /** --placement, already validated by parse(). */
     sim::PlacementSpec placement;
-    std::string pageProfilePath; ///< --page-profile; empty = no histogram
     bool memprof = false;        ///< --memprof: line-level memory profiler
     unsigned memprofTopN = 20;   ///< --memprof=<topN>: hot-line list size
     unsigned streamInstances = 0; ///< --stream; 0 = the bench's default
     std::uint64_t streamSeed = 42; ///< --stream-seed
     std::string streamPolicy = "fifo"; ///< --stream-policy: fifo, shortest
-    bool traceCache = true;      ///< --trace-cache on|off|N
-    /** --trace-cache N: max cached keys; 0 = unbounded. */
-    std::uint64_t traceCacheCapacity = 0;
     sim::Cycles deadlineCycles = 0; ///< --deadline; 0 = no deadlines
     /** --queue-cap; ~0 = unbounded run queue. */
     std::uint64_t queueCapacity = ~std::uint64_t{0};
@@ -159,9 +149,8 @@ struct BenchOptions
 
 /**
  * Build the --placement policy for machine @p cfg. class-affinity needs
- * @p space (the workload's address space); profile loads its histogram
- * from the spec's path. Throws std::runtime_error on unreadable or
- * mismatched histograms — guardedMain turns that into a clean exit 3.
+ * @p space (the workload's address space) and throws std::runtime_error
+ * without it — guardedMain turns that into a clean exit 3.
  */
 std::unique_ptr<sim::PlacementPolicy>
 makePlacement(const BenchOptions &opts, const sim::MachineConfig &cfg,
@@ -184,9 +173,6 @@ class ObsSession
 
     /** Fault plan; null unless --fault-rate was nonzero. */
     sim::FaultPlan *faults() { return faults_.get(); }
-
-    /** Page-access histogram; null unless --page-profile was given. */
-    obs::PageProfile *pageProfile() { return pageProfile_.get(); }
 
     /** Line-level memory profile; null unless wireMemprof() armed it. */
     obs::MemProfile *memProfile() { return memProfile_.get(); }
@@ -266,7 +252,6 @@ class ObsSession
     std::unique_ptr<obs::Timeline> timeline_;
     std::unique_ptr<sim::InvariantChecker> checker_;
     std::unique_ptr<sim::FaultPlan> faults_;
-    std::unique_ptr<obs::PageProfile> pageProfile_;
     std::unique_ptr<obs::MemProfile> memProfile_;
     obs::RegionMap symbols_;
     RetryStats retryStats_;

@@ -1,6 +1,5 @@
 #include "harness/runner.hh"
 
-#include "obs/pageprof.hh"
 #include "obs/registry.hh"
 #include "sim/check.hh"
 #include "sim/fault.hh"
@@ -42,8 +41,6 @@ runOnMachine(sim::Machine &machine,
              const RunOptions &opts)
 {
     machine.resetStats(); // per-run home counters (Fig 12 repetitions)
-    if (opts.pageProfile)
-        opts.pageProfile->addTraces(traces);
     if (opts.faults)
         opts.faults->scheduleQuery();
     return retryOnAbort(

@@ -20,7 +20,6 @@ namespace dss {
 namespace obs {
 class Json;
 class MemProfile;
-class PageProfile;
 class Sampler;
 class Timeline;
 } // namespace obs
@@ -48,10 +47,9 @@ struct RunOptions
     sim::InvariantChecker *checker = nullptr;
     sim::FaultPlan *faults = nullptr;
     /** Page-placement policy (sim/placement.hh); null = the machine's
-     * default interleave. Mutable: first-touch resolves per run. */
+     * default interleave. Mutable: first-touch and profile resolve per
+     * run. */
     sim::PlacementPolicy *placement = nullptr;
-    /** Per-page access histogram collector (--page-profile). */
-    obs::PageProfile *pageProfile = nullptr;
     /** Line-level memory profile (--memprof), attached to the machine
      * with Machine::setMemProfile: it also brings up the word-granular
      * sharing tracker, so the registry's per-proc miss.cohe.{true,false}
@@ -76,8 +74,8 @@ sim::SimStats runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
 
 /**
  * One guarded run on a caller-owned machine: reset the per-run lifetime
- * stats, feed the page profiler, schedule and retry
- * FaultPlan-injected aborts, and replay @p traces. This is the
+ * stats, schedule and retry FaultPlan-injected aborts, and replay
+ * @p traces. This is the
  * primitive runCold/runSequence chain per trace set — exposed so
  * the stream scheduler (src/sched/) can drive many back-to-back query
  * instances on one warm machine it wires up itself (setChecker,

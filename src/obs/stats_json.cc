@@ -105,12 +105,13 @@ toJson(const sim::SimStats &s)
 }
 
 Json
-toJson(const sim::CacheConfig &c)
+toJson(const sim::LevelConfig &l)
 {
     Json out = Json::object();
-    out["sizeBytes"] = c.sizeBytes;
-    out["lineBytes"] = c.lineBytes;
-    out["assoc"] = c.assoc;
+    out["sizeBytes"] = l.sizeBytes;
+    out["lineBytes"] = l.lineBytes;
+    out["assoc"] = l.assoc;
+    out["hitCycles"] = l.hitCycles;
     return out;
 }
 
@@ -118,8 +119,6 @@ Json
 toJson(const sim::LatencyConfig &l)
 {
     Json out = Json::object();
-    out["l1Hit"] = l.l1Hit;
-    out["l2Hit"] = l.l2Hit;
     out["localMem"] = l.localMem;
     out["remote2Hop"] = l.remote2Hop;
     out["remote3Hop"] = l.remote3Hop;
@@ -134,20 +133,10 @@ toJson(const sim::MachineConfig &m)
 {
     Json out = Json::object();
     out["nprocs"] = m.nprocs;
-    // The two-level names are pinned by the golden reports; deeper
-    // chains append the extra levels without disturbing them.
-    out["l1"] = toJson(m.l1());
-    out["l2"] = toJson(m.l2());
-    if (m.numLevels() > 2) {
-        Json levels = Json::array();
-        for (const sim::LevelConfig &lc : m.levels) {
-            Json lvl = toJson(static_cast<const sim::CacheConfig &>(lc));
-            lvl["hitCycles"] = lc.hitCycles;
-            lvl["shared"] = lc.shared;
-            levels.push(std::move(lvl));
-        }
-        out["levels"] = std::move(levels);
-    }
+    Json levels = Json::array();
+    for (const sim::LevelConfig &lc : m.levels)
+        levels.push(toJson(lc));
+    out["levels"] = std::move(levels);
     out["writeBufferEntries"] = m.writeBufferEntries;
     out["pageBytes"] = m.pageBytes;
     out["latency"] = toJson(m.lat);

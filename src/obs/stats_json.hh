@@ -34,8 +34,16 @@ Json toJson(const sim::ProcStats &p);
  */
 Json toJson(const sim::SimStats &s);
 
-Json toJson(const sim::CacheConfig &c);
+Json toJson(const sim::LevelConfig &l);
 Json toJson(const sim::LatencyConfig &l);
+
+/**
+ * The machine-spec document sim::specFromJson reads back (sim/spec.hh):
+ * nprocs, the level chain with each level's hit latency, the write
+ * buffer, page size, memory-side latencies and the prefetch/issue knobs.
+ * Reports embed it as "config", so a report's config block is itself a
+ * valid --machine file that reproduces the run.
+ */
 Json toJson(const sim::MachineConfig &m);
 
 } // namespace obs

@@ -23,6 +23,8 @@ StreamScheduler::StreamScheduler(harness::Workload &workload,
     : workload_(workload), cfg_(stream_cfg), opts_(base_opts),
       cache_(cache), res_(resilience), machine_(machine_cfg)
 {
+    if (!cache_)
+        throw std::invalid_argument("stream scheduler needs a trace cache");
     if (machine_cfg.nprocs > workload.nprocs())
         throw std::invalid_argument(
             "stream machine has more processors than the workload's "
@@ -66,20 +68,11 @@ StreamScheduler::runInstance(const QueryInstance &inst, sim::ProcId proc,
     rec.proc = proc;
     rec.start = start;
 
-    sim::TraceStream local;
-    const sim::TraceStream *stream = nullptr;
-    if (cache_) {
-        const TraceCache::Key key{inst.query, inst.paramSeed, proc};
-        const std::uint64_t hits_before = cache_->stats().hits;
-        stream = &cache_->fetch(key, [&] {
+    const sim::TraceStream &stream = cache_->fetch(
+        {inst.query, inst.paramSeed, proc}, [&] {
             return workload_.streamTrace(inst.query, inst.paramSeed, proc);
         });
-        rec.cacheHit = cache_->stats().hits > hits_before;
-    } else {
-        local = workload_.streamTrace(inst.query, inst.paramSeed, proc);
-        stream = &local;
-    }
-    rec.traceHash = stream->contentHash();
+    rec.traceHash = stream.contentHash();
 
     if (cfg_.coldCache)
         machine_.resetMemoryState();
@@ -90,7 +83,7 @@ StreamScheduler::runInstance(const QueryInstance &inst, sim::ProcId proc,
     // what makes stream results a pure function of the configuration.
     static const sim::TraceStream kEmpty;
     std::vector<const sim::TraceStream *> ptrs(proc + 1, &kEmpty);
-    ptrs[proc] = stream;
+    ptrs[proc] = &stream;
     rec.stats = harness::runOnMachine(machine_, ptrs, opts_);
 
     rec.service = rec.stats.executionTime();
@@ -119,7 +112,6 @@ StreamScheduler::run()
 
     StreamResult result;
     result.config = cfg_;
-    result.cacheEnabled = cache_ != nullptr;
     result.resilienceEnabled = res_on;
     result.records.reserve(n);
 
@@ -462,8 +454,7 @@ StreamScheduler::run()
         result.throughputPerMcycle =
             static_cast<double>(goodput) /
             (static_cast<double>(result.makespan) / 1e6);
-    if (cache_)
-        result.cache = cache_->stats();
+    result.cache = cache_->stats();
 
     if (res_on) {
         ResilienceReport &rep = result.resilience;
@@ -512,10 +503,7 @@ StreamScheduler::run()
             opts_.checker->registerStats(reg, "check");
         if (opts_.faults)
             opts_.faults->registerStats(reg, "fault");
-        if (cache_) {
-            cache_->registerStats(reg, "cache");
-            cache_->registerStats(reg, "sched.cache");
-        }
+        cache_->registerStats(reg, "cache");
         if (opts_.retryStats)
             opts_.retryStats->registerStats(reg, "harness.retry");
         registerStats(reg, "sched");
@@ -577,11 +565,9 @@ toJson(const StreamResult &r, bool include_run_stats)
     j["summary"] = std::move(summary);
 
     obs::Json cache = obs::Json::object();
-    cache["enabled"] = obs::Json(r.cacheEnabled);
     cache["hits"] = obs::Json(r.cache.hits);
     cache["misses"] = obs::Json(r.cache.misses);
     cache["entries"] = obs::Json(r.cache.entries);
-    cache["evictions"] = obs::Json(r.cache.evictions);
     j["cache"] = std::move(cache);
 
     if (r.resilienceEnabled)

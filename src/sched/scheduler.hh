@@ -61,7 +61,6 @@ struct InstanceRecord
     sim::Cycles service = 0;  ///< cycles the processor was occupied
     sim::Cycles wait = 0;     ///< start - arrival (queueing delay)
     sim::Cycles latency = 0;  ///< complete - arrival
-    bool cacheHit = false;    ///< trace served from the TraceCache
     std::uint64_t traceHash = 0; ///< content hash of the replayed trace
     sim::SimStats stats;      ///< full solo-run statistics
 
@@ -87,8 +86,7 @@ struct StreamResult
     std::vector<std::pair<std::string, LatencySummary>> byQuery;
     /** Goodput instances per million simulated cycles of makespan. */
     double throughputPerMcycle = 0.0;
-    TraceCache::Stats cache; ///< snapshot (zero when cache disabled)
-    bool cacheEnabled = false;
+    TraceCache::Stats cache; ///< snapshot of the cache after the run
     bool resilienceEnabled = false;
     ResilienceReport resilience; ///< filled when resilienceEnabled
 };
@@ -109,8 +107,8 @@ obs::Json toJson(const StreamResult &r, bool include_run_stats = true);
  * tracker); the per-run pieces of @p base_opts (sampler, timeline,
  * profilers, retry policy) pass through to every instance run.
  *
- * @p cache may be null (cache disabled: every instance re-captures) and
- * may be shared across schedulers — entries are keyed on capture
+ * Every instance's trace comes through @p cache, which must not be null
+ * and may be shared across schedulers — entries are keyed on capture
  * arguments only, which is sound because captures are pure.
  */
 class StreamScheduler

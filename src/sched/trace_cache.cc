@@ -7,44 +7,26 @@
 namespace dss {
 namespace sched {
 
-void
-TraceCache::evictIfOver()
-{
-    while (capacity_ > 0 && entries_.size() > capacity_) {
-        auto it = entries_.find(lru_.back());
-        stats_.traceEntries -= it->second.stream.entries().size();
-        --stats_.entries;
-        ++stats_.evictions;
-        entries_.erase(it);
-        lru_.pop_back();
-    }
-}
-
 const sim::TraceStream &
 TraceCache::fetch(const Key &key, const Capture &capture)
 {
     auto it = entries_.find(key);
     if (it != entries_.end()) {
         ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it->second.lru);
-        return it->second.stream;
+        return it->second;
     }
     ++stats_.misses;
     sim::TraceStream stream = capture();
     stats_.traceEntries += stream.entries().size();
     ++stats_.entries;
-    lru_.push_front(key);
-    auto ins = entries_.emplace(key, Entry{std::move(stream), lru_.begin()})
-                   .first;
-    evictIfOver();
-    return ins->second.stream;
+    return entries_.emplace(key, std::move(stream)).first->second;
 }
 
 const sim::TraceStream *
 TraceCache::lookup(const Key &key) const
 {
     auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : &it->second.stream;
+    return it == entries_.end() ? nullptr : &it->second;
 }
 
 std::uint64_t
@@ -52,15 +34,6 @@ TraceCache::contentHashOf(const Key &key) const
 {
     const sim::TraceStream *s = lookup(key);
     return s ? s->contentHash() : 0;
-}
-
-void
-TraceCache::clear()
-{
-    entries_.clear();
-    lru_.clear();
-    stats_.entries = 0;
-    stats_.traceEntries = 0;
 }
 
 void
@@ -75,34 +48,6 @@ TraceCache::registerStats(obs::Registry &reg,
                    [this] { return stats_.entries; });
     reg.addCounter(obs::metricName(prefix, "trace_entries"),
                    [this] { return stats_.traceEntries; });
-    reg.addCounter(obs::metricName(prefix, "evictions"),
-                   [this] { return stats_.evictions; });
-}
-
-obs::Json
-TraceCache::toJson() const
-{
-    obs::Json j = obs::Json::object();
-    j["hits"] = obs::Json(stats_.hits);
-    j["misses"] = obs::Json(stats_.misses);
-    j["entries"] = obs::Json(stats_.entries);
-    j["trace_entries"] = obs::Json(stats_.traceEntries);
-    j["evictions"] = obs::Json(stats_.evictions);
-    if (capacity_ > 0)
-        j["capacity"] = obs::Json(capacity_);
-    obs::Json arr = obs::Json::array();
-    for (const auto &kv : entries_) {
-        obs::Json e = obs::Json::object();
-        e["query"] = obs::Json(tpcd::queryName(kv.first.query));
-        e["param_seed"] = obs::Json(kv.first.paramSeed);
-        e["proc"] = obs::Json(static_cast<unsigned>(kv.first.proc));
-        e["entries"] = obs::Json(
-            static_cast<std::uint64_t>(kv.second.stream.entries().size()));
-        e["hash"] = obs::Json(kv.second.stream.contentHash());
-        arr.push(std::move(e));
-    }
-    j["stored"] = std::move(arr);
-    return j;
 }
 
 } // namespace sched

@@ -13,16 +13,10 @@
  * and replay the cached stream for every later instance, with
  * bit-identical simulation results (test_sched.cc proves this).
  *
- * The cache is keyed by the capture arguments and additionally records a
- * FNV-1a content hash of each stored stream (TraceStream::contentHash) so
- * reports — and the purity regression test — can verify that a re-capture
- * of the same key reproduces the same bytes.
- *
- * Capacity: by default the cache grows without bound. A bounded cache
- * (--trace-cache=N) evicts the least-recently-fetched entry once N keys
- * are stored. Because captures are pure, an evicted key's later
- * re-capture reproduces the same bytes, so bounding the cache never
- * changes simulation results — only the hit/miss/eviction counts.
+ * The cache is keyed by the capture arguments and grows without bound;
+ * reports — and the purity regression test — read each stored stream's
+ * FNV-1a content hash (TraceStream::contentHash) to verify that a
+ * re-capture of the same key reproduces the same bytes.
  */
 
 #ifndef DSS_SCHED_TRACE_CACHE_HH
@@ -30,11 +24,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <string>
 
-#include "obs/json.hh"
 #include "sim/trace.hh"
 #include "tpcd/queries.hh"
 
@@ -71,16 +63,7 @@ class TraceCache
         std::uint64_t misses = 0;
         std::uint64_t entries = 0;      ///< distinct keys stored
         std::uint64_t traceEntries = 0; ///< total TraceEntry records held
-        std::uint64_t evictions = 0;    ///< LRU evictions (bounded cache)
     };
-
-    /** @p capacity = max stored keys; 0 (the default) = unbounded. */
-    explicit TraceCache(std::uint64_t capacity = 0)
-        : capacity_(capacity)
-    {
-    }
-
-    std::uint64_t capacity() const { return capacity_; }
 
     /** Produces the stream for a key on a miss (calls streamTrace). */
     using Capture = std::function<sim::TraceStream()>;
@@ -88,13 +71,12 @@ class TraceCache
     /**
      * The stream for @p key: on a hit, the stored stream (capture not
      * invoked); on a miss, @p capture() runs and its result is stored.
-     * On an unbounded cache the returned reference stays valid for the
-     * cache's lifetime (std::map nodes are stable); on a bounded cache
-     * it stays valid until the next fetch(), which may evict it.
+     * The returned reference stays valid for the cache's lifetime
+     * (std::map nodes are stable).
      */
     const sim::TraceStream &fetch(const Key &key, const Capture &capture);
 
-    /** The stored stream for @p key, or nullptr if absent (tests). */
+    /** The stored stream for @p key, or nullptr if absent. */
     const sim::TraceStream *lookup(const Key &key) const;
 
     const Stats &stats() const { return stats_; }
@@ -102,28 +84,12 @@ class TraceCache
     /** FNV-1a content hash of the stored stream; 0 if absent. */
     std::uint64_t contentHashOf(const Key &key) const;
 
-    /** Drop every entry; hit/miss history is kept. */
-    void clear();
-
-    /** Export cache.{hits,misses,entries,trace_entries,evictions}. */
+    /** Export cache.{hits,misses,entries,trace_entries}. */
     void registerStats(obs::Registry &reg,
                        const std::string &prefix = "cache") const;
 
-    /** Stats plus a per-entry {query, seed, proc, entries, hash} array. */
-    obs::Json toJson() const;
-
   private:
-    struct Entry
-    {
-        sim::TraceStream stream;
-        std::list<Key>::iterator lru; ///< position in the recency list
-    };
-
-    void evictIfOver();
-
-    std::uint64_t capacity_ = 0;
-    std::map<Key, Entry> entries_;
-    std::list<Key> lru_; ///< front = most recently fetched
+    std::map<Key, sim::TraceStream> entries_;
     Stats stats_;
 };
 

@@ -9,10 +9,8 @@ namespace dss {
 namespace sim {
 
 Directory::Directory(unsigned nnodes, std::size_t line_bytes,
-                     std::size_t page_bytes, Addr private_base,
-                     Addr private_stride, const LatencyConfig &lat)
-    : nnodes_(nnodes), lineBytes_(line_bytes), pageBytes_(page_bytes),
-      privateBase_(private_base), privateStride_(private_stride), lat_(lat),
+                     const LatencyConfig &lat)
+    : nnodes_(nnodes), lineBytes_(line_bytes), lat_(lat),
       controllerFree_(nnodes, 0), hctrs_(nnodes)
 {
     assert(nnodes_ > 0 && nnodes_ <= 8);

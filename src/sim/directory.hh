@@ -5,8 +5,9 @@
  * The directory tracks, per secondary-cache line, whether memory holds the
  * only copy (Uncached), one or more caches hold clean copies (Shared), or a
  * single cache holds a dirty copy (Dirty). The home node of a line is
- * determined by its 8 KB page: shared pages are interleaved round-robin
- * across the nodes; private pages are homed at their owning node.
+ * not the directory's to decide: the Machine asks its page-placement
+ * policy (sim/placement.hh) and hands the home to the directory's
+ * latency and controller calls.
  *
  * Latency mirrors the paper's baseline: a miss satisfied by local memory
  * costs 80 cycles round trip; by a remote home or a dirty remote owner in a
@@ -19,7 +20,6 @@
 #ifndef DSS_SIM_DIRECTORY_HH
 #define DSS_SIM_DIRECTORY_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "sim/addr.hh"
-#include "sim/placement.hh"
 
 namespace dss {
 namespace obs {
@@ -36,11 +35,13 @@ class Registry;
 
 namespace sim {
 
-/** Latency constants for one machine configuration (paper Section 4.3). */
+/**
+ * Memory-side latency constants for one machine configuration (paper
+ * Section 4.3). Cache hit latencies live with their level
+ * (LevelConfig::hitCycles, sim/hierarchy.hh).
+ */
 struct LatencyConfig
 {
-    Cycles l1Hit = 1;          ///< primary-cache hit (no stall)
-    Cycles l2Hit = 16;         ///< round trip to the secondary cache
     Cycles localMem = 80;      ///< local memory, clean line
     Cycles remote2Hop = 249;   ///< two network crossings on the critical path
     Cycles remote3Hop = 351;   ///< three network crossings
@@ -74,45 +75,9 @@ class Directory
     /**
      * @param nnodes Number of nodes (processor + memory each).
      * @param line_bytes Coherence granularity (the L2 line size).
-     * @param page_bytes Interleaving granularity for home assignment.
-     * @param private_base Addresses at or above this are private.
-     * @param private_stride Private address-space stride per node.
      */
     Directory(unsigned nnodes, std::size_t line_bytes,
-              std::size_t page_bytes, Addr private_base,
-              Addr private_stride, const LatencyConfig &lat);
-
-    /**
-     * Home node of the line containing @p addr: delegated to the
-     * attached PlacementPolicy (sim/placement.hh). Without one — a
-     * standalone Directory in unit tests or microbenches — the
-     * historical hardwired rule applies: shared pages interleave
-     * round-robin, private pages are homed at their owning node.
-     */
-    ProcId
-    homeOf(Addr addr) const
-    {
-        if (placement_)
-            return placement_->homeOf(addr);
-        if (addr >= privateBase_) {
-            auto node = static_cast<ProcId>((addr - privateBase_) /
-                                            privateStride_);
-            return std::min<ProcId>(node, nnodes_ - 1);
-        }
-        return static_cast<ProcId>((addr / pageBytes_) % nnodes_);
-    }
-
-    /**
-     * Attach the page-placement policy consulted by homeOf. Borrowed;
-     * pass nullptr to fall back to the hardwired interleave rule. The
-     * policy's geometry must match this directory's page/private layout.
-     */
-    void setPlacement(const PlacementPolicy *placement)
-    {
-        placement_ = placement;
-    }
-
-    const PlacementPolicy *placement() const { return placement_; }
+              const LatencyConfig &lat);
 
     /** Directory entry for the line containing @p addr (created lazily). */
     Entry &entry(Addr addr);
@@ -225,12 +190,8 @@ class Directory
     void registerStats(obs::Registry &reg, const std::string &prefix) const;
 
   private:
-    const PlacementPolicy *placement_ = nullptr; ///< borrowed, optional
     unsigned nnodes_;
     std::size_t lineBytes_;
-    std::size_t pageBytes_;
-    Addr privateBase_;
-    Addr privateStride_;
     LatencyConfig lat_;
     std::unordered_map<Addr, Entry> entries_;
     std::vector<Cycles> controllerFree_; // per home node

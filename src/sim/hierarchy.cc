@@ -44,12 +44,12 @@ paperLevels()
     l1.sizeBytes = 4 * 1024;
     l1.lineBytes = 32;
     l1.assoc = 1;
-    l1.hitCycles = 1; // == LatencyConfig::l1Hit; informational at level 0
+    l1.hitCycles = 1; // the no-stall L1 hit
     LevelConfig l2;
     l2.sizeBytes = 128 * 1024;
     l2.lineBytes = 64;
     l2.assoc = 2;
-    l2.hitCycles = 16; // == the legacy LatencyConfig::l2Hit
+    l2.hitCycles = 16; // the paper's L2 round trip
     return {l1, l2};
 }
 
@@ -98,15 +98,11 @@ validateLevels(const LevelChain &levels)
         if (levels[i + 1].sizeBytes < levels[i].sizeBytes)
             reject(name + " is smaller than " + levelName(i),
                    name + ".sizeBytes", levels[i + 1].sizeBytes);
-        if (i >= 1 && levels[i + 1].hitCycles <= levels[i].hitCycles)
+        if (levels[i + 1].hitCycles <= levels[i].hitCycles)
             reject(name + " hit latency must exceed " + levelName(i) +
                        "'s",
                    name + ".hitCycles", levels[i + 1].hitCycles);
     }
-    for (std::size_t i = 0; i + 1 < levels.size(); ++i)
-        if (levels[i].shared)
-            reject("only the last level may be shared",
-                   levelName(i) + ".shared", 1);
 }
 
 void
@@ -126,9 +122,6 @@ validateMachineConfig(const MachineConfig &cfg)
         reject("write buffer needs at least one entry",
                "writeBufferEntries", cfg.writeBufferEntries);
     const LatencyConfig &lat = cfg.lat;
-    if (lat.l1Hit >= cfg.levels[1].hitCycles)
-        reject("l1 hit latency must be below the l2 hit latency",
-               "latency.l1Hit", lat.l1Hit);
     if (cfg.levels.back().hitCycles >= lat.localMem)
         reject("last-level hit latency must be below local memory",
                levelName(cfg.levels.size() - 1) + ".hitCycles",

@@ -43,25 +43,16 @@ constexpr std::size_t kMaxCacheLevels = 4;
 
 /**
  * One level of the chain: cache geometry plus the round-trip hit latency
- * charged when a read is satisfied at this level. The level-0 hit cost
- * lives in LatencyConfig::l1Hit (it is the no-stall baseline, not a
- * stall), so hitCycles is meaningful for levels >= 1 only.
+ * charged when a read is satisfied at this level. Every cache latency
+ * lives here: level 0's hitCycles is the no-stall L1 hit cost, the
+ * baseline every read's stall is measured from.
  */
 struct LevelConfig : CacheConfig
 {
-    /** Round trip to this level on a hit (levels >= 1). Quoted for a
-     * 32 B level-0 line; longer level-0 lines add their extra transfer
-     * time, exactly like the legacy L2 hit latency. */
+    /** Round trip to this level on a hit. Quoted for a 32 B level-0
+     * line; at levels >= 1, longer level-0 lines add their extra
+     * transfer time. */
     Cycles hitCycles = 16;
-
-    /**
-     * Marks a last-level cache shared by the processors of one node
-     * rather than private to one processor. With the paper's one
-     * processor per node the two are operationally identical, so this is
-     * declarative topology (kept through JSON round trips and reports);
-     * only the last level may set it.
-     */
-    bool shared = false;
 };
 
 /** The ordered level chain, index 0 nearest the processor. */
@@ -85,17 +76,17 @@ void validateLevel(const LevelConfig &level, const std::string &name);
 /**
  * Validate a whole chain: 2..kMaxCacheLevels levels, each level valid in
  * isolation, line sizes nested (each level's line divides the next
- * level's), capacities non-decreasing, hit latencies strictly increasing,
- * `shared` only on the last level. Throws SimError.
+ * level's), capacities non-decreasing, hit latencies strictly increasing
+ * from level 0 on. Throws SimError.
  */
 void validateLevels(const LevelChain &levels);
 
 /**
  * Validate a full machine description: its level chain, processor count
  * (1..64 — the directory's sharer bitmask is 64 bits wide), page size,
- * and latency monotonicity (l1Hit < level hit latencies < local memory
- * <= 2-hop <= 3-hop). Machine's constructor calls this, so no simulation
- * ever starts on a malformed configuration. Throws SimError.
+ * and latency monotonicity (level hit latencies < local memory <= 2-hop
+ * <= 3-hop). Machine's constructor calls this, so no simulation ever
+ * starts on a malformed configuration. Throws SimError.
  */
 void validateMachineConfig(const MachineConfig &cfg);
 

@@ -73,9 +73,7 @@ MachineConfig::withCacheSizes(std::size_t l1_bytes,
 
 Machine::Machine(const MachineConfig &cfg)
     : cfg_((validateMachineConfig(cfg), cfg)),
-      dir_(cfg.nprocs, cfg.coherent().lineBytes, cfg.pageBytes,
-           AddressSpace::kPrivateBase, AddressSpace::kPrivateStride,
-           cfg.lat)
+      dir_(cfg.nprocs, cfg.coherent().lineBytes, cfg.lat)
 {
     // Hit round trips, adjusted for the L1-line transfer time relative
     // to the baseline 32 B L1 line (critical-word-first: short lines are
@@ -86,7 +84,7 @@ Machine::Machine(const MachineConfig &cfg)
     if (adj < 0)
         adj = 0;
     nlev_ = cfg_.numLevels();
-    levelHitLat_[0] = cfg_.lat.l1Hit;
+    levelHitLat_[0] = cfg_.l1().hitCycles;
     for (std::size_t lvl = 1; lvl < nlev_; ++lvl)
         levelHitLat_[lvl] =
             cfg_.levels[lvl].hitCycles + static_cast<Cycles>(adj);
@@ -98,14 +96,12 @@ Machine::Machine(const MachineConfig &cfg)
         {cfg_.nprocs, cfg_.pageBytes, AddressSpace::kPrivateBase,
          AddressSpace::kPrivateStride});
     placement_ = defaultPlacement_.get();
-    dir_.setPlacement(placement_);
 }
 
 void
 Machine::setPlacement(PlacementPolicy *placement)
 {
     placement_ = placement ? placement : defaultPlacement_.get();
-    dir_.setPlacement(placement_);
 }
 
 void
@@ -336,7 +332,7 @@ Machine::fillCoherent(ProcId p, Addr addr, bool dirty)
     if (v.dirty) {
         // Background writeback occupies the victim's home controller but
         // does not stall the processor.
-        dir_.acquireController(dir_.homeOf(v.lineAddr),
+        dir_.acquireController(placement_->homeOf(v.lineAddr),
                                runs_.empty() ? 0 : runs_[p].clock);
     }
 }
@@ -373,7 +369,7 @@ Machine::readAccess(ProcId p, Addr addr, DataClass cls, unsigned size)
     // Loads are satisfied by a matching store still in the write buffer.
     if (n.wb.containsLine(l1_line, r.clock)) {
         ++st.l1Hits();
-        return {cfg_.lat.l1Hit};
+        return {levelHitLat_[0]};
     }
 
     if (n.l1().access(addr)) {
@@ -387,10 +383,10 @@ Machine::readAccess(ProcId p, Addr addr, DataClass cls, unsigned size)
                 Cycles extra =
                     pf->second > r.clock ? pf->second - r.clock : 0;
                 n.prefetched.erase(pf);
-                return {cfg_.lat.l1Hit + extra};
+                return {levelHitLat_[0] + extra};
             }
         }
-        return {cfg_.lat.l1Hit};
+        return {levelHitLat_[0]};
     }
 
     st.l1Misses().add(cls, n.l1().classifyMiss(addr));
@@ -427,7 +423,7 @@ Machine::readAccess(ProcId p, Addr addr, DataClass cls, unsigned size)
             if (prof_)
                 profileMiss(st, p, addr, cls, size, l2_line, mt);
             const Directory::Entry v = dir_.entry(l2_line);
-            const ProcId home = dir_.homeOf(l2_line);
+            const ProcId home = placement_->homeOf(l2_line);
             const bool dirty_else =
                 v.state == Directory::State::Dirty && v.owner != p;
             countHop(st, cls, l2_line,
@@ -463,7 +459,7 @@ Machine::writeTransaction(ProcId p, Addr addr, DataClass cls,
     ProcRun &r = runs_[p];
     const Addr l2_line = n.coh().lineAddrOf(addr);
     const Directory::Entry v = dir_.entry(l2_line);
-    const ProcId home = dir_.homeOf(l2_line);
+    const ProcId home = placement_->homeOf(l2_line);
 
     Cycles drain;
     if (n.coh().contains(l2_line)) {
@@ -552,7 +548,7 @@ Machine::rmwAccess(ProcId p, Addr addr, DataClass cls, unsigned size)
     }
 
     const Directory::Entry v = dir_.entry(l2_line);
-    const ProcId home = dir_.homeOf(l2_line);
+    const ProcId home = placement_->homeOf(l2_line);
     const bool l2has = n.coh().contains(l2_line);
 
     Cycles latency;
@@ -621,7 +617,7 @@ Machine::issuePrefetches(ProcId p, Addr addr)
                 continue; // keep the prefetcher out of dirty remote lines
             // The fetch occupies the home controller (contention) but the
             // processor does not wait for it.
-            const ProcId home = dir_.homeOf(l2_line);
+            const ProcId home = placement_->homeOf(l2_line);
             const Cycles qdelay = dir_.acquireController(home, issue);
             ready = issue + qdelay +
                     dir_.transactionLatency(p, home, v.owner, false);
@@ -653,7 +649,7 @@ Machine::doRead(ProcId p, const TraceEntry &e)
     }
     ReadOutcome o = readAccess(p, e.addr, e.cls, e.size);
     const Cycles stall =
-        (o.latency > cfg_.lat.l1Hit ? o.latency - cfg_.lat.l1Hit : 0) +
+        (o.latency > levelHitLat_[0] ? o.latency - levelHitLat_[0] : 0) +
         injected;
     r.stats.busy += cfg_.issueCyclesPerRef;
     r.stats.memStall += stall;
@@ -780,7 +776,7 @@ Machine::doLockAcq(ProcId p, const TraceEntry &e)
     // Its stall is memory time on metadata; only spinning is MSync.
     const Cycles lat = rmwAccess(p, w, e.cls, e.size);
     const Cycles stall =
-        lat > cfg_.lat.l1Hit ? lat - cfg_.lat.l1Hit : 0;
+        lat > levelHitLat_[0] ? lat - levelHitLat_[0] : 0;
     r.stats.busy += cfg_.issueCyclesPerRef;
     r.stats.memStall += stall;
     r.stats.memStallByGroup[static_cast<std::size_t>(groupOf(e.cls))] +=

@@ -34,6 +34,7 @@
 #include "sim/cache.hh"
 #include "sim/directory.hh"
 #include "sim/hierarchy.hh"
+#include "sim/placement.hh"
 #include "sim/sharing.hh"
 #include "sim/spinlock_model.hh"
 #include "sim/stats.hh"
@@ -452,7 +453,8 @@ class Machine
     /** Chain depth (== cfg_.numLevels()), cached for the access paths. */
     std::size_t nlev_ = 2;
     /** Per-level hit round trips, adjusted for the L1 line transfer;
-     * [0] is lat.l1Hit, [nlev_-1] the coherent level's (cohHitLat_). */
+     * [0] is the no-stall L1 hit cost, [nlev_-1] the coherent level's
+     * (cohHitLat_). */
     std::array<Cycles, kMaxCacheLevels> levelHitLat_ = {};
     Cycles cohHitLat_ = 0;
     std::vector<std::unique_ptr<Node>> nodes_;
@@ -466,11 +468,11 @@ class Machine
     obs::MemProfile *prof_ = nullptr;     ///< optional, not owned
     /** Word-granular sharing tracker; exists only while prof_ is set. */
     std::unique_ptr<SharingTracker> sharing_;
-    /** Fallback interleave policy owned by the machine, so homeOf always
-     * takes the precomputed-table fast path even with no external
-     * policy attached. */
+    /** Fallback interleave policy owned by the machine, so every page has
+     * a home even with no external policy attached. */
     std::unique_ptr<PlacementPolicy> defaultPlacement_;
-    PlacementPolicy *placement_ = nullptr; ///< active policy, never null
+    /** Active policy, never null: the only source of page homes. */
+    PlacementPolicy *placement_ = nullptr;
     /** Metalock word -> cycle its current hold began (timeline only). */
     std::unordered_map<Addr, Cycles> holdStart_;
 

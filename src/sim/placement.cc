@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <stdexcept>
 
 #include "sim/arena.hh"
@@ -47,9 +48,11 @@ PlacementSpec::parse(std::string_view text)
     if (colon != std::string_view::npos)
         spec.arg = std::string(text.substr(colon + 1));
 
-    if (name == "interleave" || name == "first-touch") {
-        spec.kind = name == "interleave" ? PlacementKind::Interleave
-                                         : PlacementKind::FirstTouch;
+    if (name == "interleave" || name == "first-touch" ||
+        name == "profile") {
+        spec.kind = name == "interleave"    ? PlacementKind::Interleave
+                    : name == "first-touch" ? PlacementKind::FirstTouch
+                                            : PlacementKind::Profile;
         if (!spec.arg.empty())
             return std::nullopt; // these take no argument
         return spec;
@@ -64,20 +67,13 @@ PlacementSpec::parse(std::string_view text)
         }
         return spec;
     }
-    if (name == "profile") {
-        spec.kind = PlacementKind::Profile;
-        if (spec.arg.empty())
-            return std::nullopt; // the histogram path is mandatory
-        return spec;
-    }
     return std::nullopt;
 }
 
 const char *
 PlacementSpec::help()
 {
-    return "interleave, first-touch, class-affinity[:node], "
-           "profile:<histogram.json>";
+    return "interleave, first-touch, class-affinity[:node], profile";
 }
 
 std::string
@@ -134,43 +130,15 @@ PlacementPolicy::classAffinity(const Geometry &g, const AddressSpace &space,
 }
 
 std::unique_ptr<PlacementPolicy>
-PlacementPolicy::profile(const Geometry &g,
-                         const std::vector<PageAccessCounts> &hist)
+PlacementPolicy::profile(const Geometry &g)
 {
-    auto p = std::unique_ptr<PlacementPolicy>(
+    return std::unique_ptr<PlacementPolicy>(
         new PlacementPolicy(PlacementKind::Profile, g));
-    for (const PageAccessCounts &page : hist) {
-        const std::size_t idx =
-            static_cast<std::size_t>(page.page / g.pageBytes);
-        // Majority accessor; ties break toward the lower processor id so
-        // the choice never depends on container order.
-        ProcId best = 0;
-        std::uint64_t most = 0;
-        const std::size_t n =
-            std::min<std::size_t>(page.counts.size(), g.nnodes);
-        for (std::size_t q = 0; q < n; ++q) {
-            if (page.counts[q] > most) {
-                most = page.counts[q];
-                best = static_cast<ProcId>(q);
-            }
-        }
-        if (most > 0)
-            p->profiled_[idx] = best;
-    }
-    // Eagerly cover through the last profiled page so the hot path is a
-    // table load, not a hash probe, for everything the histogram saw.
-    std::size_t max_idx = 0;
-    for (const auto &[idx, home] : p->profiled_)
-        max_idx = std::max(max_idx, idx);
-    if (!p->profiled_.empty())
-        p->ensureCovered(max_idx);
-    return p;
 }
 
 std::unique_ptr<PlacementPolicy>
 PlacementPolicy::make(const PlacementSpec &spec, const Geometry &g,
-                      const AddressSpace *space,
-                      const std::vector<PageAccessCounts> *hist)
+                      const AddressSpace *space)
 {
     switch (spec.kind) {
       case PlacementKind::Interleave:
@@ -188,10 +156,7 @@ PlacementPolicy::make(const PlacementSpec &spec, const Geometry &g,
         return classAffinity(g, *space, node);
       }
       case PlacementKind::Profile:
-        if (!hist)
-            throw std::runtime_error(
-                "placement: profile needs a page-access histogram");
-        return profile(g, *hist);
+        return profile(g);
     }
     throw std::runtime_error("placement: unknown policy kind");
 }
@@ -203,9 +168,10 @@ PlacementPolicy::ruleHome(std::size_t page_idx) const
     switch (kind_) {
       case PlacementKind::Interleave:
       case PlacementKind::FirstTouch:
-        // First-touch pages start on the interleave rule and move to the
-        // toucher when beginRun claims them; a page no trace ever
-        // references keeps the fallback.
+      case PlacementKind::Profile:
+        // First-touch and profile pages start on the interleave rule and
+        // move to their claimant when beginRun claims them; a page no
+        // trace ever references keeps the fallback.
         return rr;
       case PlacementKind::ClassAffinity: {
         // Pages whose dominant arena class is metadata (descriptors,
@@ -221,10 +187,6 @@ PlacementPolicy::ruleHome(std::size_t page_idx) const
         return isMetadataClass(space_->pageClassOf(page, g_.pageBytes))
                    ? metaNode_
                    : rr;
-      }
-      case PlacementKind::Profile: {
-        auto it = profiled_.find(page_idx);
-        return it != profiled_.end() ? it->second : rr;
       }
     }
     return rr;
@@ -253,9 +215,15 @@ PlacementPolicy::pinPage(Addr addr, ProcId home)
     if (idx >= kMaxTablePages)
         return;
     ensureCovered(idx);
-    table_[idx] = home;
-    if (!resolved_[idx]) {
-        resolved_[idx] = 1;
+    claim(idx, home);
+}
+
+void
+PlacementPolicy::claim(std::size_t page_idx, ProcId home)
+{
+    table_[page_idx] = home;
+    if (!resolved_[page_idx]) {
+        resolved_[page_idx] = 1;
         ++claimed_;
     }
 }
@@ -263,14 +231,14 @@ PlacementPolicy::pinPage(Addr addr, ProcId home)
 void
 PlacementPolicy::beginRun(const std::vector<const TraceStream *> &traces)
 {
-    // Only first-touch needs to look at the traces. The other policies
-    // precompute their table at construction (class-affinity covers the
-    // allocated arena span, profile covers the histogrammed pages) and
-    // their ruleHome fallback returns the same answer as a table slot
-    // would, so scanning every entry per run would buy nothing — and the
-    // scan is O(trace), which BM_MachineReplay shows directly as lost
-    // replay throughput.
-    if (kind_ != PlacementKind::FirstTouch)
+    // Only first-touch and profile need to look at the traces. The other
+    // policies precompute their table at construction (class-affinity
+    // covers the allocated arena span) and their ruleHome fallback
+    // returns the same answer as a table slot would, so scanning every
+    // entry per run would buy nothing — and the scan is O(trace), which
+    // BM_MachineReplay shows directly as lost replay throughput.
+    if (kind_ != PlacementKind::FirstTouch &&
+        kind_ != PlacementKind::Profile)
         return;
 
     // Pass 1: table coverage. Every shared page any trace touches gets a
@@ -290,6 +258,11 @@ PlacementPolicy::beginRun(const std::vector<const TraceStream *> &traces)
     if (any)
         ensureCovered(max_idx);
 
+    if (kind_ == PlacementKind::Profile) {
+        claimMajorities(traces);
+        return;
+    }
+
     // Pass 2: first-touch claims, in (trace position, processor) order.
     // Position-major iteration makes "first" a pure function of the
     // traces, independent of simulated timing (the same argument the
@@ -308,12 +281,41 @@ PlacementPolicy::beginRun(const std::vector<const TraceStream *> &traces)
             const std::size_t idx = pageIndexOf(e.addr);
             if (idx >= table_.size() || resolved_[idx])
                 continue;
-            table_[idx] = static_cast<ProcId>(
-                std::min<std::size_t>(p, g_.nnodes - 1));
-            resolved_[idx] = 1;
-            ++claimed_;
+            claim(idx, static_cast<ProcId>(
+                           std::min<std::size_t>(p, g_.nnodes - 1)));
         }
     }
+}
+
+void
+PlacementPolicy::claimMajorities(
+    const std::vector<const TraceStream *> &traces)
+{
+    // Per unresolved page, each processor's reference count. Counts are
+    // sums, so the homes do not depend on the order of the scan.
+    const std::size_t nprocs =
+        std::min<std::size_t>(traces.size(), g_.nnodes);
+    std::map<std::size_t, std::vector<std::uint64_t>> counts;
+    for (std::size_t p = 0; p < nprocs; ++p) {
+        if (!traces[p])
+            continue;
+        for (const TraceEntry &e : traces[p]->entries()) {
+            if (e.op == Op::Busy || e.addr >= g_.privateBase)
+                continue;
+            const std::size_t idx = pageIndexOf(e.addr);
+            if (idx >= table_.size() || resolved_[idx])
+                continue;
+            std::vector<std::uint64_t> &row = counts[idx];
+            row.resize(nprocs);
+            ++row[p];
+        }
+    }
+    // max_element returns the first maximum: ties go to the lower
+    // processor id.
+    for (const auto &[idx, row] : counts)
+        claim(idx, static_cast<ProcId>(
+                       std::max_element(row.begin(), row.end()) -
+                       row.begin()));
 }
 
 } // namespace sim

@@ -5,10 +5,8 @@
  * The paper's headline cost is remote memory: 2-hop (249-cycle) and
  * 3-hop (351-cycle) transactions dominate stall time, and its
  * conclusions name data placement as the lever a CC-NUMA system has
- * against them. The home node of every page used to be hardwired inside
- * Directory::homeOf (shared pages interleaved round-robin, private pages
- * owner-homed); this subsystem lifts that decision into a policy object
- * the Directory merely consults:
+ * against them. The home node of every page is the policy's decision;
+ * the Machine asks it on every directory transaction:
  *
  *   interleave       page i -> node i mod N (bit-identical to the
  *                    historical hardwired rule; the default)
@@ -19,17 +17,17 @@
  *   class-affinity   pages whose dominant MemArena DataClass is metadata
  *                    (buffer descriptors, lookup hash, lock words, ...)
  *                    are homed at one node; Data/Index pages interleave
- *   profile          two-pass: a per-page access histogram from a prior
- *                    run (obs::PageProfile JSON) homes each page at its
- *                    majority accessor
+ *   profile          a shared page is homed at its majority accessor —
+ *                    the processor whose trace references it most —
+ *                    counted over the run's own traces in beginRun
  *
  * Every policy resolves to the same representation: a flat page-index ->
  * home-node table (precomputed at construction; extended per run only by
- * first-touch), so the homeOf hot path is a single bounds-checked vector
- * load — with a shift/modulo fallback for pages past the table — instead
- * of the div/mod chain the Directory used to evaluate per access. Private addresses are owner-homed under
- * every policy (the paper's OS already does per-process local
- * allocation; the policies only govern the shared segment).
+ * first-touch and profile), so the homeOf hot path is a single
+ * bounds-checked vector load — with a shift/modulo fallback for pages
+ * past the table. Private addresses are owner-homed under every policy
+ * (the paper's OS already does per-process local allocation; the
+ * policies only govern the shared segment).
  */
 
 #ifndef DSS_SIM_PLACEMENT_HH
@@ -40,7 +38,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/addr.hh"
@@ -63,8 +60,7 @@ const char *placementKindName(PlacementKind kind);
 
 /**
  * Parsed form of the --placement=<name>[:arg] flag value.
- * The arg is the metadata home node for class-affinity (default 0) and
- * the histogram JSON path for profile (required).
+ * Only class-affinity takes an arg: its metadata home node (default 0).
  */
 struct PlacementSpec
 {
@@ -79,13 +75,6 @@ struct PlacementSpec
 
     /** Round-trip back to "<name>[:arg]". */
     std::string str() const;
-};
-
-/** One page's per-processor access counts (the profile policy's input). */
-struct PageAccessCounts
-{
-    Addr page = 0; ///< page-aligned simulated address
-    std::vector<std::uint64_t> counts; ///< indexed by processor
 };
 
 class PlacementPolicy
@@ -118,14 +107,12 @@ class PlacementPolicy
     static std::unique_ptr<PlacementPolicy>
     classAffinity(const Geometry &g, const AddressSpace &space,
                   ProcId meta_node = 0);
-    static std::unique_ptr<PlacementPolicy>
-    profile(const Geometry &g, const std::vector<PageAccessCounts> &hist);
+    static std::unique_ptr<PlacementPolicy> profile(const Geometry &g);
 
     /** Build any spec; class-affinity requires @p space (else throws). */
     static std::unique_ptr<PlacementPolicy>
     make(const PlacementSpec &spec, const Geometry &g,
-         const AddressSpace *space,
-         const std::vector<PageAccessCounts> *hist);
+         const AddressSpace *space);
 
     PlacementKind kind() const { return kind_; }
     const char *name() const { return placementKindName(kind_); }
@@ -151,19 +138,24 @@ class PlacementPolicy
 
     /**
      * Per-run resolution hook, called by the Machine before the first
-     * step. A no-op for every kind except first-touch (the
-     * others precompute their table at construction, and their fallback
-     * rule returns the same home as a table slot would). For first-touch
-     * it grows the flat table to cover every shared page the traces
-     * reference, then claims still-unclaimed pages for the first
-     * processor to reference them.
+     * step. A no-op for interleave and class-affinity (they precompute
+     * their table at construction, and their fallback rule returns the
+     * same home as a table slot would). For first-touch and profile it
+     * grows the flat table to cover every shared page the traces
+     * reference, then claims each still-unclaimed page:
      *
-     * The claim scan iterates trace positions in the outer loop and
-     * processors in the inner loop, so "first" is defined purely by the
-     * traces, never by simulated time: the same trace set yields the same
-     * homes whatever the machine's timing. Claims persist across runs (a
-     * page's first touch ever wins),
-     * which is what the warm-start sequences expect of a real OS.
+     *  - first-touch: for the first processor to reference it. The scan
+     *    iterates trace positions in the outer loop and processors in
+     *    the inner loop, so "first" is defined purely by the traces,
+     *    never by simulated time.
+     *  - profile: for the processor that references it most (its
+     *    non-Busy references per page, summed over the run's traces);
+     *    ties go to the lower processor id.
+     *
+     * Either way the same trace set yields the same homes whatever the
+     * machine's timing. Claims persist across runs (a page's first claim
+     * wins) and never override a pin, which is what the warm-start
+     * sequences expect of a real OS.
      */
     void beginRun(const std::vector<const TraceStream *> &traces);
 
@@ -177,7 +169,7 @@ class PlacementPolicy
     /** Pages currently covered by the flat table (tests/diagnostics). */
     std::size_t coveredPages() const { return table_.size(); }
 
-    /** First-touch pages claimed so far (0 for other kinds). */
+    /** Pages claimed (first-touch, profile) or pinned so far. */
     std::size_t claimedPages() const { return claimed_; }
 
   private:
@@ -197,20 +189,24 @@ class PlacementPolicy
     /** Extend the table through @p page_idx using ruleHome. */
     void ensureCovered(std::size_t page_idx);
 
+    /** Home page @p page_idx (covered) at @p home and mark it resolved. */
+    void claim(std::size_t page_idx, ProcId home);
+
+    /** profile: claim every unresolved page for its majority accessor. */
+    void claimMajorities(const std::vector<const TraceStream *> &traces);
+
     PlacementKind kind_;
     Geometry g_;
     int pageShift_ = -1; ///< log2(pageBytes) when a power of two
     int privShift_ = -1; ///< log2(privateStride) when a power of two
 
     std::vector<ProcId> table_; ///< page index -> home node
-    /** first-touch: 1 = table_[i] is a claim/pin, not the fallback rule */
+    /** 1 = table_[i] is a claim/pin, not the fallback rule */
     std::vector<std::uint8_t> resolved_;
     std::size_t claimed_ = 0;
 
     const AddressSpace *space_ = nullptr; ///< class-affinity only
     ProcId metaNode_ = 0;                 ///< class-affinity only
-    /** profile: page index -> majority accessor */
-    std::unordered_map<std::size_t, ProcId> profiled_;
 };
 
 } // namespace sim

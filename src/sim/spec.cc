@@ -89,7 +89,6 @@ levelFromJson(const obs::Json &j, const std::string &where)
     lc.lineBytes = o.uintOr("lineBytes", lc.lineBytes);
     lc.assoc = static_cast<unsigned>(o.uintOr("assoc", lc.assoc));
     lc.hitCycles = o.uintOr("hitCycles", lc.hitCycles);
-    lc.shared = o.boolOr("shared", lc.shared);
     o.finish();
     return lc;
 }
@@ -99,8 +98,6 @@ latencyFromJson(const obs::Json &j)
 {
     StrictObject o(j, "latency");
     LatencyConfig lat;
-    lat.l1Hit = o.uintOr("l1Hit", lat.l1Hit);
-    lat.l2Hit = o.uintOr("l2Hit", lat.l2Hit);
     lat.localMem = o.uintOr("localMem", lat.localMem);
     lat.remote2Hop = o.uintOr("remote2Hop", lat.remote2Hop);
     lat.remote3Hop = o.uintOr("remote3Hop", lat.remote3Hop);
@@ -135,7 +132,6 @@ modernPreset()
     llc.lineBytes = 64;
     llc.assoc = 16;
     llc.hitCycles = 48;
-    llc.shared = true;
     c.levels = {l1, l2, llc};
     return spec;
 }
@@ -221,42 +217,6 @@ loadSpec(const std::string &nameOrPath)
              nameOrPath);
     }
     return specFromJson(j, nameOrPath);
-}
-
-obs::Json
-toJson(const MachineSpec &spec)
-{
-    const MachineConfig &c = spec.config;
-    obs::Json out = obs::Json::object();
-    out["name"] = spec.name;
-    out["nprocs"] = c.nprocs;
-    obs::Json levels = obs::Json::array();
-    for (const LevelConfig &lc : c.levels) {
-        obs::Json lvl = obs::Json::object();
-        lvl["sizeBytes"] = lc.sizeBytes;
-        lvl["lineBytes"] = lc.lineBytes;
-        lvl["assoc"] = lc.assoc;
-        lvl["hitCycles"] = lc.hitCycles;
-        lvl["shared"] = lc.shared;
-        levels.push(std::move(lvl));
-    }
-    out["levels"] = std::move(levels);
-    out["writeBufferEntries"] = c.writeBufferEntries;
-    out["pageBytes"] = c.pageBytes;
-    obs::Json lat = obs::Json::object();
-    lat["l1Hit"] = c.lat.l1Hit;
-    lat["l2Hit"] = c.lat.l2Hit;
-    lat["localMem"] = c.lat.localMem;
-    lat["remote2Hop"] = c.lat.remote2Hop;
-    lat["remote3Hop"] = c.lat.remote3Hop;
-    lat["controllerOccupancy"] = c.lat.controllerOccupancy;
-    lat["memBytesPerCycle"] = c.lat.memBytesPerCycle;
-    lat["ctrlBytesPerCycle"] = c.lat.ctrlBytesPerCycle;
-    out["latency"] = std::move(lat);
-    out["prefetchData"] = c.prefetchData;
-    out["prefetchDegree"] = c.prefetchDegree;
-    out["issueCyclesPerRef"] = c.issueCyclesPerRef;
-    return out;
 }
 
 } // namespace sim

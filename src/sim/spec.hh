@@ -8,15 +8,16 @@
  *  - `paper1997`  the paper's baseline CC-NUMA machine, bit-identical to
  *                 MachineConfig::baseline() (the default);
  *  - `modern`     a three-level chain — 32 KB/64 B/8-way L1, 256 KB 8-way
- *                 L2, 8 MB 16-way shared LLC — over the same CC-NUMA
+ *                 L2, 8 MB 16-way LLC — over the same CC-NUMA
  *                 interconnect, for LLC-era replays of the paper's
  *                 questions;
  *  - `scaled64`   the paper's caches on 64 processors (the directory's
  *                 full sharer-mask width), for scaling studies.
  *
  * Anything else is a path to a JSON file in the same schema that
- * obs-layer reports embed (toJson in spec.cc writes it, loadSpec parses
- * it back — a lossless round trip). Parsing is strict: unknown keys are
+ * obs-layer reports embed as their "config" block (obs::toJson of a
+ * MachineConfig writes it, loadSpec parses it back — a lossless round
+ * trip), plus an optional "name". Parsing is strict: unknown keys are
  * rejected with a structured SimError so a typo'd "asoc" cannot silently
  * fall back to a default, and every loaded spec passes the full
  * validateMachineConfig gauntlet before a Machine is ever built from it.
@@ -59,10 +60,6 @@ MachineSpec loadSpec(const std::string &nameOrPath);
 /** Parse a spec from already-loaded JSON; @p name is recorded verbatim.
  * Strict: unknown keys throw SimError. */
 MachineSpec specFromJson(const obs::Json &j, const std::string &name);
-
-/** Serialize the full spec (name, level chain, latencies, knobs) in the
- * schema specFromJson accepts: toJson/specFromJson round-trip losslessly. */
-obs::Json toJson(const MachineSpec &spec);
 
 } // namespace sim
 } // namespace dss

@@ -1,14 +1,18 @@
 /**
  * @file
- * Unit tests for the directory: home-node assignment, transaction latency
- * (the paper's 80/249/351 cycle round trips), transfer-time adjustment,
- * and memory-controller contention.
+ * Unit tests for the directory: the default home-node assignment it is
+ * handed (the interleave placement policy), transaction latency (the
+ * paper's 80/249/351 cycle round trips), transfer-time adjustment, and
+ * memory-controller contention.
  */
+
+#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "sim/arena.hh"
 #include "sim/directory.hh"
+#include "sim/placement.hh"
 
 namespace {
 
@@ -17,31 +21,38 @@ using namespace dss::sim;
 Directory
 makeDir(std::size_t line = 64)
 {
-    return Directory(4, line, 8192, AddressSpace::kPrivateBase,
-                     AddressSpace::kPrivateStride, LatencyConfig{});
+    return Directory(4, line, LatencyConfig{});
+}
+
+/** The machine's default home rule for a 4-node baseline. */
+std::unique_ptr<PlacementPolicy>
+interleave()
+{
+    return PlacementPolicy::interleave(
+        {4, 8192, AddressSpace::kPrivateBase, AddressSpace::kPrivateStride});
 }
 
 TEST(Directory, SharedPagesInterleaveRoundRobin)
 {
-    Directory dir = makeDir();
-    ProcId h0 = dir.homeOf(0);
-    ProcId h1 = dir.homeOf(8192);
-    ProcId h2 = dir.homeOf(2 * 8192);
-    ProcId h4 = dir.homeOf(4 * 8192);
+    auto homes = interleave();
+    ProcId h0 = homes->homeOf(0);
+    ProcId h1 = homes->homeOf(8192);
+    ProcId h2 = homes->homeOf(2 * 8192);
+    ProcId h4 = homes->homeOf(4 * 8192);
     EXPECT_NE(h0, h1);
     EXPECT_NE(h1, h2);
     EXPECT_EQ(h0, h4); // wraps around with 4 nodes
     // Addresses within one page share a home.
-    EXPECT_EQ(dir.homeOf(100), dir.homeOf(8191));
+    EXPECT_EQ(homes->homeOf(100), homes->homeOf(8191));
 }
 
 TEST(Directory, PrivatePagesHomeAtOwner)
 {
-    Directory dir = makeDir();
+    auto homes = interleave();
     for (ProcId p = 0; p < 4; ++p) {
         Addr a = AddressSpace::kPrivateBase +
                  p * AddressSpace::kPrivateStride + 0x1234;
-        EXPECT_EQ(dir.homeOf(a), p);
+        EXPECT_EQ(homes->homeOf(a), p);
     }
 }
 

@@ -11,6 +11,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -165,7 +168,6 @@ TEST(MachineSpec, ModernPresetIsValidThreeLevel)
 {
     const MachineSpec spec = machinePreset("modern");
     EXPECT_EQ(spec.config.numLevels(), 3u);
-    EXPECT_TRUE(spec.config.coherent().shared);
     EXPECT_NO_THROW(spec.config.validate());
     EXPECT_NO_THROW(Machine m(spec.config));
 }
@@ -201,36 +203,64 @@ TEST(MachineSpec, UnknownPresetThrows)
 
 TEST(MachineSpec, JsonRoundTripIsLossless)
 {
+    // A report's "config" block is a spec document: reading it back
+    // reproduces every field of every preset.
     for (const std::string &name : machinePresetNames()) {
-        const MachineSpec spec = machinePreset(name);
-        const obs::Json j = toJson(spec);
+        const MachineConfig &cfg = machinePreset(name).config;
+        const obs::Json j = obs::toJson(cfg);
         const MachineSpec back = specFromJson(j, "reparsed");
-        EXPECT_EQ(toJson(back).dump(), j.dump()) << name;
-        EXPECT_EQ(back.name, name); // "name" key wins over the argument
+        EXPECT_EQ(obs::toJson(back.config).dump(), j.dump()) << name;
+        EXPECT_EQ(back.name, "reparsed");
     }
+    const obs::Json named = obs::Json::parse(R"({"name": "mine"})");
+    EXPECT_EQ(specFromJson(named, "file.json").name, "mine");
 }
 
 TEST(MachineSpec, LoadsSpecFileAndRejectsUnknownKeys)
 {
     const std::string path = ::testing::TempDir() + "machine_spec.json";
-    {
+    const auto write = [&](const std::string &text) {
         std::ofstream out(path);
-        out << toJson(machinePreset("modern")).dump(2);
-    }
+        out << text;
+    };
+    write(obs::toJson(machinePreset("modern").config).dump(2));
     const MachineSpec spec = loadSpec(path);
     EXPECT_EQ(spec.config.numLevels(), 3u);
-    EXPECT_EQ(spec.name, "modern");
+    EXPECT_EQ(spec.name, path);
 
-    {
-        std::ofstream out(path);
-        out << R"({"nprocs": 4, "asoc": 2})"; // typo'd key
-    }
+    write(R"({"nprocs": 4, "asoc": 2})"); // typo'd key
     EXPECT_THROW(loadSpec(path), SimError);
 
-    {
-        std::ofstream out(path);
-        out << R"({"nprocs": 0})"; // fails validation, not parsing
+    // Settings the machine never read are unknown keys, named as such:
+    // latency's old per-level hit entries (cache hit latencies live in
+    // the level chain) and a level's "shared" flag.
+    std::vector<std::pair<std::string, std::string>> retired;
+    for (const char *level : {"l1", "l2"}) {
+        const std::string key = std::string(level) + "Hit";
+        retired.emplace_back(key, R"({"latency": {")" + key + R"(": 1}})");
     }
+    retired.emplace_back(
+        "shared", R"({"levels": [{"hitCycles": 1, "shared": true}]})");
+    for (const auto &[key, text] : retired) {
+        write(text);
+        try {
+            (void)loadSpec(path);
+            ADD_FAILURE() << key << " was accepted";
+        } catch (const SimError &e) {
+            EXPECT_NE(std::string(e.what()).find("unknown key \"" + key),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    write(R"({"nprocs": 0})"); // fails validation, not parsing
+    EXPECT_THROW(loadSpec(path), SimError);
+
+    // A level 0 without hitCycles gets the 16-cycle default, which does
+    // not undercut the L2's 16: rejected, not silently ignored.
+    write(R"({"levels": [{"sizeBytes": 4096, "lineBytes": 32, "assoc": 1},
+                         {"sizeBytes": 131072, "lineBytes": 64,
+                          "assoc": 2, "hitCycles": 16}]})");
     EXPECT_THROW(loadSpec(path), SimError);
     std::remove(path.c_str());
 }

@@ -449,7 +449,11 @@ TEST(StatsJson, ConfigSerializesMachineParameters)
     const sim::MachineConfig cfg = sim::MachineConfig::baseline();
     obs::Json j = obs::toJson(cfg);
     EXPECT_EQ(j.find("nprocs")->asUint(), cfg.nprocs);
-    const obs::Json *l1 = j.find("l1");
-    ASSERT_NE(l1, nullptr);
-    EXPECT_EQ(l1->find("sizeBytes")->asUint(), cfg.l1().sizeBytes);
+    const obs::Json *levels = j.find("levels");
+    ASSERT_NE(levels, nullptr);
+    ASSERT_EQ(levels->size(), cfg.numLevels());
+    EXPECT_EQ(levels->at(0).find("sizeBytes")->asUint(), cfg.l1().sizeBytes);
+    EXPECT_EQ(levels->at(0).find("hitCycles")->asUint(), cfg.l1().hitCycles);
+    EXPECT_EQ(levels->at(1).find("hitCycles")->asUint(), cfg.l2().hitCycles);
+    EXPECT_EQ(j.find("l1"), nullptr) << "one level chain, no l1/l2 copies";
 }

@@ -56,6 +56,15 @@ TEST(BenchOptionsDeath, UnknownFlagIsFatal)
         EXPECT_EXIT(parseArgs({flag, "1"}), testing::ExitedWithCode(2),
                     "unknown option '" + flag + "'");
     }
+    // So must the retired trace-cache bound and page-histogram file,
+    // even for a stream bench.
+    const unsigned stream = BenchOptions::kAll | BenchOptions::kStream;
+    EXPECT_EXIT(parseArgs({"--trace-cache", "on"}, stream),
+                testing::ExitedWithCode(2),
+                "unknown option '--trace-cache'");
+    EXPECT_EXIT(parseArgs({"--page-profile", "h.json"}, stream),
+                testing::ExitedWithCode(2),
+                "unknown option '--page-profile'");
 }
 
 TEST(BenchOptionsDeath, MisspelledFlagIsFatal)
@@ -147,18 +156,15 @@ TEST(BenchOptionsDeath, MalformedFaultSeedIsFatal)
 
 TEST(BenchOptions, PlacementFlagsParse)
 {
-    BenchOptions o = parseArgs({"--placement", "class-affinity:2",
-                                "--page-profile", "hist.json"});
+    BenchOptions o = parseArgs({"--placement", "class-affinity:2"});
     EXPECT_EQ(o.placement.kind, sim::PlacementKind::ClassAffinity);
     EXPECT_EQ(o.placement.arg, "2");
-    EXPECT_EQ(o.pageProfilePath, "hist.json");
 }
 
 TEST(BenchOptions, PlacementDefaultsToInterleave)
 {
     BenchOptions o = parseArgs({});
     EXPECT_EQ(o.placement.kind, sim::PlacementKind::Interleave);
-    EXPECT_TRUE(o.pageProfilePath.empty());
 }
 
 TEST(BenchOptionsDeath, UnknownPlacementPolicyIsFatal)
@@ -166,9 +172,12 @@ TEST(BenchOptionsDeath, UnknownPlacementPolicyIsFatal)
     EXPECT_EXIT(parseArgs({"--placement", "round-robin"}),
                 testing::ExitedWithCode(2),
                 "unknown --placement 'round-robin'");
-    // profile without a histogram path is malformed, not a default.
-    EXPECT_EXIT(parseArgs({"--placement", "profile"}),
-                testing::ExitedWithCode(2), "unknown --placement");
+    // profile counts the run's own traces: it takes no histogram file.
+    EXPECT_EXIT(parseArgs({"--placement", "profile:h.json"}),
+                testing::ExitedWithCode(2),
+                "unknown --placement 'profile:h.json'");
+    BenchOptions o = parseArgs({"--placement", "profile"});
+    EXPECT_EQ(o.placement.kind, sim::PlacementKind::Profile);
 }
 
 TEST(BenchOptionsDeath, PlacementFlagsOutsideDeclaredSubsetAreFatal)
@@ -177,10 +186,6 @@ TEST(BenchOptionsDeath, PlacementFlagsOutsideDeclaredSubsetAreFatal)
                           BenchOptions::kScale),
                 testing::ExitedWithCode(2),
                 "option '--placement' is not supported");
-    EXPECT_EXIT(parseArgs({"--page-profile", "h.json"},
-                          BenchOptions::kScale),
-                testing::ExitedWithCode(2),
-                "option '--page-profile' is not supported");
 }
 
 TEST(BenchOptions, MemprofFlagParses)
@@ -229,12 +234,11 @@ TEST(BenchOptions, StreamFlagsParse)
 {
     BenchOptions o = parseArgs(
         {"--stream", "24", "--stream-seed", "7", "--stream-policy",
-         "shortest", "--trace-cache", "off"},
+         "shortest"},
         BenchOptions::kAll | BenchOptions::kStream);
     EXPECT_EQ(o.streamInstances, 24u);
     EXPECT_EQ(o.streamSeed, 7u);
     EXPECT_EQ(o.streamPolicy, "shortest");
-    EXPECT_FALSE(o.traceCache);
 }
 
 TEST(BenchOptions, StreamFlagsDefault)
@@ -243,7 +247,6 @@ TEST(BenchOptions, StreamFlagsDefault)
     EXPECT_EQ(o.streamInstances, 0u) << "0 = the bench's own default";
     EXPECT_EQ(o.streamSeed, 42u);
     EXPECT_EQ(o.streamPolicy, "fifo");
-    EXPECT_TRUE(o.traceCache);
 }
 
 TEST(BenchOptionsDeath, MalformedStreamFlagsAreFatal)
@@ -257,8 +260,6 @@ TEST(BenchOptionsDeath, MalformedStreamFlagsAreFatal)
     EXPECT_EXIT(parseArgs({"--stream-policy", "sjf"}, f),
                 testing::ExitedWithCode(2),
                 "unknown --stream-policy 'sjf'");
-    EXPECT_EXIT(parseArgs({"--trace-cache", "maybe"}, f),
-                testing::ExitedWithCode(2), "--trace-cache needs on|off");
 }
 
 TEST(BenchOptionsDeath, StreamFlagsOutsideKAllAreFatal)
@@ -267,32 +268,6 @@ TEST(BenchOptionsDeath, StreamFlagsOutsideKAllAreFatal)
     // binaries must keep rejecting the stream flags.
     EXPECT_EXIT(parseArgs({"--stream", "8"}), testing::ExitedWithCode(2),
                 "option '--stream' is not supported");
-    EXPECT_EXIT(parseArgs({"--trace-cache", "on"}),
-                testing::ExitedWithCode(2),
-                "option '--trace-cache' is not supported");
-}
-
-TEST(BenchOptions, TraceCacheBoundParses)
-{
-    const unsigned f = BenchOptions::kAll | BenchOptions::kStream;
-    BenchOptions o = parseArgs({"--trace-cache", "16"}, f);
-    EXPECT_TRUE(o.traceCache);
-    EXPECT_EQ(o.traceCacheCapacity, 16u);
-
-    BenchOptions unbounded = parseArgs({"--trace-cache", "on"}, f);
-    EXPECT_TRUE(unbounded.traceCache);
-    EXPECT_EQ(unbounded.traceCacheCapacity, 0u) << "0 = unbounded";
-}
-
-TEST(BenchOptionsDeath, MalformedTraceCacheBoundIsFatal)
-{
-    const unsigned f = BenchOptions::kAll | BenchOptions::kStream;
-    EXPECT_EXIT(parseArgs({"--trace-cache", "0"}, f),
-                testing::ExitedWithCode(2),
-                "--trace-cache needs on\\|off or a positive entry bound");
-    EXPECT_EXIT(parseArgs({"--trace-cache", "16x"}, f),
-                testing::ExitedWithCode(2),
-                "--trace-cache needs on\\|off or a positive entry bound");
 }
 
 TEST(BenchOptions, ResilienceFlagsParse)

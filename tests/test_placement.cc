@@ -2,13 +2,16 @@
  * @file
  * Tests for the pluggable NUMA page-placement subsystem
  * (sim/placement.hh) and its wiring: the interleave policy must be
- * bit-identical to the historical hardwired Directory rule, first-touch
+ * bit-identical to the historical hardwired home rule, first-touch
  * must resolve identically on every rerun of the same traces, the
  * class-affinity and profile policies must follow their inputs (arena
- * class map / access histogram), and the per-run statistics reset the
- * placement work exposed must hold.
+ * class map / the run's own reference counts), the published placement
+ * table must reproduce, and the per-run statistics reset the placement
+ * work exposed must hold.
  */
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -22,7 +25,6 @@
 #include "harness/options.hh"
 #include "harness/runner.hh"
 #include "harness/workload.hh"
-#include "obs/pageprof.hh"
 #include "obs/stats_json.hh"
 #include "sim/arena.hh"
 #include "sim/directory.hh"
@@ -86,10 +88,10 @@ TEST(PlacementSpec, ParsesEveryPolicy)
     EXPECT_EQ(ca2->arg, "2");
     EXPECT_EQ(ca2->str(), "class-affinity:2");
 
-    auto pr = PlacementSpec::parse("profile:hist.json");
+    auto pr = PlacementSpec::parse("profile");
     ASSERT_TRUE(pr);
     EXPECT_EQ(pr->kind, PlacementKind::Profile);
-    EXPECT_EQ(pr->arg, "hist.json");
+    EXPECT_EQ(pr->str(), "profile");
 }
 
 TEST(PlacementSpec, RejectsMalformedValues)
@@ -100,28 +102,35 @@ TEST(PlacementSpec, RejectsMalformedValues)
     EXPECT_FALSE(PlacementSpec::parse("first-touch:x"));
     EXPECT_FALSE(PlacementSpec::parse("class-affinity:banana"));
     EXPECT_FALSE(PlacementSpec::parse("class-affinity:99"));
-    EXPECT_FALSE(PlacementSpec::parse("profile")); // path is mandatory
+    // profile counts the run's own traces: no histogram file.
+    EXPECT_FALSE(PlacementSpec::parse("profile:hist.json"));
 }
 
 // --- interleave vs. the historical hardwired rule ------------------------
 
 TEST(Placement, InterleaveMatchesLegacyRuleEverywhere)
 {
-    const sim::LatencyConfig lat;
-    // A Directory with no policy attached falls back to the historical
-    // hardwired formula — the exact code every access ran before the
-    // placement layer existed.
-    sim::Directory legacy(4, 64, 8192, AddressSpace::kPrivateBase,
-                          AddressSpace::kPrivateStride, lat);
-    ASSERT_EQ(legacy.placement(), nullptr);
-    auto policy = PlacementPolicy::interleave(baselineGeometry());
+    // The historical hardwired formula — the exact code every access ran
+    // before the placement layer existed: shared pages interleave
+    // round-robin, private addresses are homed at their owning node.
+    const unsigned nnodes = 4;
+    const auto legacy = [&](Addr addr) {
+        if (addr >= AddressSpace::kPrivateBase) {
+            auto node = static_cast<ProcId>(
+                (addr - AddressSpace::kPrivateBase) /
+                AddressSpace::kPrivateStride);
+            return std::min<ProcId>(node, nnodes - 1);
+        }
+        return static_cast<ProcId>((addr / 8192) % nnodes);
+    };
+    auto policy = PlacementPolicy::interleave(baselineGeometry(nnodes));
 
     Lcg rng;
     for (int i = 0; i < 10000; ++i) {
         // Mix shared addresses (below kPrivateBase) with private ones,
         // including far past the last private node's stride.
         Addr a = rng.next() % (AddressSpace::kPrivateBase * 2);
-        EXPECT_EQ(legacy.homeOf(a), policy->homeOf(a)) << "addr " << a;
+        EXPECT_EQ(legacy(a), policy->homeOf(a)) << "addr " << a;
     }
     // The boundaries the two code paths could disagree on.
     for (Addr a : {Addr{0}, Addr{8191}, Addr{8192},
@@ -129,7 +138,7 @@ TEST(Placement, InterleaveMatchesLegacyRuleEverywhere)
                    AddressSpace::kPrivateBase,
                    AddressSpace::kPrivateBase +
                        AddressSpace::kPrivateStride * 7})
-        EXPECT_EQ(legacy.homeOf(a), policy->homeOf(a)) << "addr " << a;
+        EXPECT_EQ(legacy(a), policy->homeOf(a)) << "addr " << a;
 }
 
 TEST(Placement, InterleaveHandlesNonPowerOfTwoGeometry)
@@ -347,51 +356,97 @@ TEST(Placement, BufferManagerHintsCoverPagesAndFeedPinPage)
 
 TEST(Placement, ProfileHomesPagesAtTheirMajorityAccessor)
 {
-    std::vector<sim::PageAccessCounts> hist;
-    hist.push_back({0 * 8192, {1, 9, 0, 0}});  // proc 1 dominates
-    hist.push_back({2 * 8192, {5, 5, 0, 0}});  // tie -> lower proc id
-    hist.push_back({7 * 8192, {0, 0, 0, 0}});  // never accessed -> rule
+    // Page 0: proc 1 references it three times, proc 0 once. Proc 0's
+    // Busy entries (address field 0) and private reads must not count.
+    // Page 2: a 2-2 tie between procs 2 and 3.
+    std::vector<sim::TraceStream> streams(4);
+    streams[0].record(sim::TraceEntry::read(0, DataClass::Data, 8));
+    for (int i = 0; i < 3; ++i) {
+        streams[0].record(sim::TraceEntry::busy(5));
+        streams[0].record(sim::TraceEntry::read(
+            AddressSpace::kPrivateBase + 8, DataClass::Priv, 8));
+        streams[1].record(
+            sim::TraceEntry::write(64 * i, DataClass::Index, 8));
+    }
+    for (unsigned p : {3u, 2u}) {
+        streams[p].record(sim::TraceEntry::read(2 * 8192, DataClass::Data, 8));
+        streams[p].record(
+            sim::TraceEntry::read(2 * 8192 + 64, DataClass::Data, 8));
+    }
 
-    auto policy = PlacementPolicy::profile(baselineGeometry(), hist);
+    auto policy = PlacementPolicy::profile(baselineGeometry());
+    policy->pinPage(5 * 8192, 3);
+    // Page 5 is pinned; proc 0's references to it cannot move it.
+    streams[0].record(sim::TraceEntry::read(5 * 8192, DataClass::Data, 8));
+    policy->beginRun(
+        {&streams[0], &streams[1], &streams[2], &streams[3]});
     EXPECT_EQ(policy->homeOf(0), 1u);
-    EXPECT_EQ(policy->homeOf(2 * 8192), 0u);
-    EXPECT_EQ(policy->homeOf(7 * 8192), 3u);  // interleave fallback
-    EXPECT_EQ(policy->homeOf(4 * 8192), 0u);  // unprofiled -> interleave
+    EXPECT_EQ(policy->homeOf(2 * 8192), 2u); // tie -> lower proc id
+    EXPECT_EQ(policy->homeOf(5 * 8192), 3u); // the pin wins
+    EXPECT_EQ(policy->homeOf(7 * 8192), 3u); // unreferenced -> interleave
+    EXPECT_EQ(policy->claimedPages(), 3u);   // pages 0, 2 and the pin
+
+    // Claims persist: a later run dominated by proc 0 claims only the
+    // pages still unresolved.
+    std::vector<sim::TraceStream> later(4);
+    for (Addr a : {Addr{0}, Addr{4 * 8192}})
+        for (int i = 0; i < 4; ++i)
+            later[0].record(sim::TraceEntry::read(a, DataClass::Data, 8));
+    later[1].record(sim::TraceEntry::read(4 * 8192, DataClass::Data, 8));
+    policy->beginRun({&later[0], &later[1], &later[2], &later[3]});
+    EXPECT_EQ(policy->homeOf(0), 1u);
+    EXPECT_EQ(policy->homeOf(4 * 8192), 0u);
+    EXPECT_EQ(policy->claimedPages(), 4u);
 }
 
-TEST(Placement, ProfileRoundTripsThroughPageProfileJson)
+/**
+ * EXPERIMENTS.md's "NUMA page placement" table: ablation_placement's
+ * policy sweep at tiny scale, demand transactions by hop class. Pins
+ * the six published rows — Q3 under every policy, Q6 and Q12 under
+ * first-touch.
+ */
+TEST(Placement, AblationSweepReproducesThePublishedHopCounts)
 {
-    // Histogram traces, serialize to the --page-profile wire format,
-    // parse back, build the policy: the end-to-end --placement=profile
-    // pipeline in miniature.
-    std::vector<sim::TraceStream> streams(4);
-    const Addr pageA = 3 * 8192, pageB = 6 * 8192;
-    for (int i = 0; i < 10; ++i)
-        streams[2].record(sim::TraceEntry::read(pageA, DataClass::Data, 8));
-    streams[0].record(sim::TraceEntry::read(pageA, DataClass::Data, 8));
-    for (int i = 0; i < 3; ++i)
-        streams[1].record(
-            sim::TraceEntry::write(pageB + 32, DataClass::Index, 8));
-    // Private and Busy references must not be profiled.
-    streams[0].record(sim::TraceEntry::read(
-        AddressSpace::kPrivateBase + 8, DataClass::Priv, 8));
-    streams[0].record(sim::TraceEntry::busy(5));
+    harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
+    const sim::MachineConfig cfg = sim::MachineConfig::baseline();
+    const PlacementPolicy::Geometry g = baselineGeometry(cfg.nprocs);
 
-    obs::PageProfile prof(8192);
-    prof.addTraces({&streams[0], &streams[1], &streams[2], &streams[3]});
-    EXPECT_EQ(prof.pageCount(), 2u);
-
-    const obs::Json doc = prof.toJson();
-    // The wire format is byte-stable: same input, same bytes.
-    EXPECT_EQ(doc.dump(), prof.toJson().dump());
-
-    const std::vector<sim::PageAccessCounts> hist =
-        obs::PageProfile::parse(doc, 8192);
-    auto policy = PlacementPolicy::profile(baselineGeometry(), hist);
-    EXPECT_EQ(policy->homeOf(pageA), 2u);
-    EXPECT_EQ(policy->homeOf(pageB), 1u);
-
-    EXPECT_THROW(obs::PageProfile::parse(doc, 4096), std::runtime_error);
+    struct Row
+    {
+        tpcd::QueryId query;
+        PlacementKind kind;
+        std::array<std::uint64_t, 3> hops; ///< local, 2-hop, 3-hop
+    };
+    const Row published[] = {
+        {tpcd::QueryId::Q3, PlacementKind::Interleave, {3871, 2216, 1192}},
+        {tpcd::QueryId::Q3, PlacementKind::FirstTouch, {3940, 2008, 1423}},
+        {tpcd::QueryId::Q3, PlacementKind::ClassAffinity, {3863, 2223, 1257}},
+        {tpcd::QueryId::Q3, PlacementKind::Profile, {4299, 2621, 482}},
+        {tpcd::QueryId::Q6, PlacementKind::FirstTouch, {2750, 2768, 76}},
+        {tpcd::QueryId::Q12, PlacementKind::FirstTouch, {5285, 6583, 1432}},
+    };
+    // Like the bench: capture each query once, in sweep order, and run
+    // its rows over that one trace set.
+    for (tpcd::QueryId q : {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
+                            tpcd::QueryId::Q12}) {
+        const harness::TraceSet traces = wl.trace(q);
+        for (const Row &row : published) {
+            if (row.query != q)
+                continue;
+            SCOPED_TRACE(tpcd::queryName(q) + "/" +
+                         sim::placementKindName(row.kind));
+            PlacementSpec spec;
+            spec.kind = row.kind;
+            auto policy = PlacementPolicy::make(spec, g, &wl.db().space());
+            harness::RunOptions ro;
+            ro.placement = policy.get();
+            const sim::ProcStats agg =
+                harness::runCold(cfg, traces, ro).aggregate();
+            for (std::size_t h = 0; h < row.hops.size(); ++h)
+                EXPECT_EQ(agg.hopsOfClass(h), row.hops[h])
+                    << "hop class " << h;
+        }
+    }
 }
 
 // --- the default must not move: golden byte-identity ---------------------
@@ -526,8 +581,14 @@ TEST(Placement, MakePlacementBuildsEachPolicyAndValidatesInputs)
     EXPECT_EQ(ca->kind(), PlacementKind::ClassAffinity);
     EXPECT_GT(ca->coveredPages(), 0u);
 
-    opts.placement = *PlacementSpec::parse("profile:/nonexistent.json");
-    EXPECT_THROW(harness::makePlacement(opts, cfg, &wl.db().space()),
+    opts.placement = *PlacementSpec::parse("profile");
+    auto pr = harness::makePlacement(opts, cfg, &wl.db().space());
+    EXPECT_EQ(pr->kind(), PlacementKind::Profile);
+    EXPECT_EQ(pr->coveredPages(), 0u) << "profile resolves per run";
+
+    // class-affinity classifies pages by the workload's arenas.
+    opts.placement = *PlacementSpec::parse("class-affinity");
+    EXPECT_THROW(harness::makePlacement(opts, cfg, nullptr),
                  std::runtime_error);
 }
 
