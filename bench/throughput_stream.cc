@@ -17,8 +17,6 @@
  *
  * Stream knobs: --stream <n>, --stream-seed <s>,
  * --stream-policy <fifo|shortest>.
- * Resilience knobs (src/sched/resilience.hh): --deadline <cycles>,
- * --queue-cap <n>, --shed <newest|class|deadline>, --breaker <p>.
  */
 
 #include <iostream>
@@ -77,17 +75,6 @@ run(harness::BenchContext &ctx)
     base.seed = opts.streamSeed;
     base.policy = *policy;
 
-    // Resilience knobs pass straight through; with none given, res stays
-    // disabled and the stream reports are byte-identical to a build
-    // without the resilience layer.
-    sched::ResilienceConfig res;
-    res.deadline = opts.deadlineCycles;
-    if (opts.queueCapacity != ~std::uint64_t{0})
-        res.queueCapacity = static_cast<unsigned>(opts.queueCapacity);
-    if (auto sp = sched::parseShedPolicy(opts.shedPolicy))
-        res.shed = *sp;
-    res.breakerThreshold = opts.breakerThreshold;
-
     obs::Json &figure = session.extra();
 
     // Solo calibration anchors: one single-instance stream per traced
@@ -117,7 +104,7 @@ run(harness::BenchContext &ctx)
         ro.placement = pol.get();
         obs::Json registry;
         ro.registrySnapshot = session.wantJson() ? &registry : nullptr;
-        sched::StreamScheduler sch(wl, cfg, scfg, ro, &cache, res);
+        sched::StreamScheduler sch(wl, cfg, scfg, ro, &cache);
         const sched::StreamResult r = sch.run();
         printPoint(label, r);
         if (session.wantJson()) {
@@ -161,6 +148,7 @@ int
 main(int argc, char **argv)
 {
     return harness::benchMain("throughput_stream", argc, argv,
-                                 harness::BenchOptions::kAll | harness::BenchOptions::kStream |
-            harness::BenchOptions::kResilience, run);
+                              harness::BenchOptions::kAll |
+                                  harness::BenchOptions::kStream,
+                              run);
 }

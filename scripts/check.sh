@@ -3,8 +3,7 @@
 #
 # Usage: scripts/check.sh [--sanitize=thread|address|undefined] [--chaos]
 #                         [--placement] [--memprof] [--stream]
-#                         [--resilience] [--machine] [--verify] [--lint]
-#                         [build-dir]
+#                         [--machine] [--verify] [--lint] [build-dir]
 #
 # --sanitize builds into a separate build directory (build-tsan/,
 # build-asan/ or build-ubsan/) with -DSIM_SANITIZE set and runs only the
@@ -38,29 +37,23 @@
 # tiny scale with JSON output. The chaos gauntlet also runs these under
 # each sanitizer.
 #
-# --resilience runs the stream-resilience checks: the resilience unit,
-# breaker, outage-table, scheduler and golden tests, then the
-# resilience_sweep bench at tiny scale with JSON output, validating the
-# SLO accounting schema, outcome conservation at every swept point, and
-# breaker trip + recovery in the failure-window scenario. The chaos
-# gauntlet also runs these under each sanitizer.
-#
-# --machine runs the machine-spec checks: the hierarchy/spec unit tests,
+# --machine runs the machine-spec checks: the hierarchy/spec unit tests
+# (among them the modern three-level preset over Q3/Q6/Q12 under the
+# invariant checker, with per-level counter reconciliation),
 # `--machine list` preset discovery, byte-identity of the default report
 # against an explicit `--machine paper1997` (the spec layer must be
-# invisible to the goldens), the modern three-level preset over
-# Q3/Q6/Q12 under the invariant checker with per-level counter
-# reconciliation, and a machine-spec *file* (written on the spot) driving
-# a bench end to end. The chaos gauntlet also runs these under each
-# sanitizer.
+# invisible to the goldens), and a machine-spec *file* (written on the
+# spot) driving a bench end to end. The chaos gauntlet also runs these
+# under each sanitizer.
 #
 # --verify runs the explicit-state protocol model checker
 # (bench/verify_protocol, src/verify/): the canonicalization/symmetry
 # and mutant-soundness unit tests, then exhaustive 2-proc x 2-line
-# searches on both machine presets (paper1997 and modern) that must find
-# zero invariant violations, a mutant sweep in which the checker must
-# catch all four injected protocol bugs, and a bit-identity check of the
-# JSON report across repeated runs. The chaos gauntlet runs these too.
+# searches on both machine presets (paper1997 and modern) whose reports
+# json_validate must accept (state space exhausted, zero invariant
+# violations), a mutant sweep in which the checker must catch all four
+# injected protocol bugs, and a bit-identity check of the JSON report
+# across repeated runs. The chaos gauntlet runs these too.
 #
 # --lint runs the static gates: scripts/determinism_lint.py over the
 # deterministic core (src/sim/, src/sched/) and, when clang-tidy is
@@ -76,7 +69,6 @@ chaos=0
 placement=0
 memprof=0
 stream=0
-resilience=0
 machine=0
 verify=0
 lint=0
@@ -103,9 +95,6 @@ for arg in "$@"; do
             ;;
         --stream)
             stream=1
-            ;;
-        --resilience)
-            resilience=1
             ;;
         --machine)
             machine=1
@@ -148,85 +137,10 @@ stream_checks() {
         --json "$dir/stream_check.json" > /dev/null
 }
 
-# Stream-resilience checks against an existing build dir: the resilience
-# unit/property/scheduler/golden tests, then the resilience_sweep bench
-# (whose own per-point invariants — bounded queues, conservation,
-# breaker recovery — make its exit code a verdict), validating the JSON
-# SLO schema and the failure-window scenario.
-resilience_checks() {
-    local dir="$1"
-    local filter='ShedPolicyModel.*:ResilienceConfigModel.*'
-    filter+=':ShedVictimModel.*:CircuitBreakerModel.*:OutageTableModel.*'
-    filter+=':ResilienceSim.*:GoldenStats.StreamResilience*'
-    "$dir/tests/dss_tests" --gtest_filter="$filter"
-
-    local out_json="$dir/resilience_check.json"
-    "$dir/bench/resilience_sweep" --scale tiny --json "$out_json" \
-        > /dev/null
-
-    python3 - "$out_json" <<'PYRES'
-import json, sys
-
-doc = json.load(open(sys.argv[1]))
-
-def fail(msg):
-    sys.stderr.write("check.sh: resilience: %s\n" % msg)
-    sys.exit(1)
-
-points = doc.get("points")
-if not isinstance(points, list) or not points:
-    fail("no sweep points in %s" % sys.argv[1])
-slo_keys = ("submitted", "goodput", "timeouts", "shed_queue",
-            "shed_breaker", "shed_expired", "abandoned", "migrations")
-for pt in points:
-    label = pt.get("label")
-    res = pt.get("resilience")
-    if not isinstance(res, dict):
-        fail("%s lacks a resilience block" % label)
-    for key in ("config", "slo", "latency", "breaker", "outages",
-                "degraded_cycles"):
-        if key not in res:
-            fail("%s resilience block lacks '%s'" % (label, key))
-    total = res["slo"]["total"]
-    for key in slo_keys:
-        if key not in total:
-            fail("%s slo total lacks '%s'" % (label, key))
-    resolved = (total["goodput"] + total["timeouts"] +
-                total["shed_queue"] + total["shed_breaker"] +
-                total["shed_expired"] + total["abandoned"])
-    if resolved != total["submitted"]:
-        fail("%s outcomes (%d) do not sum to submitted (%d)"
-             % (label, resolved, total["submitted"]))
-    if total["goodput"] == 0:
-        fail("%s goodput collapsed to zero" % label)
-    by_class = res["slo"]["by_class"]
-    if sum(c["submitted"] for c in by_class.values()) != total["submitted"]:
-        fail("%s per-class submitted does not sum to total" % label)
-    if pt["rate"] == 0 and res["outages"]:
-        fail("%s reports outages at fault rate 0" % label)
-    if pt["rate"] == 0 and res["degraded_cycles"] != 0:
-        fail("%s reports degraded cycles at fault rate 0" % label)
-
-bl = doc.get("breaker_lifecycle")
-if not isinstance(bl, dict):
-    fail("no breaker_lifecycle scenario block")
-br = bl["resilience"]["breaker"]
-if br["trips"] == 0 or br["recoveries"] == 0:
-    fail("breaker scenario: trips=%d recoveries=%d — the life cycle was"
-         " not exercised" % (br["trips"], br["recoveries"]))
-if not bl["resilience"]["outages"]:
-    fail("breaker scenario saw no outages")
-
-print("check.sh: resilience SLO schema, conservation and breaker life"
-      " cycle OK")
-PYRES
-}
-
 # Machine-spec checks against an existing build dir: the hierarchy and
 # spec unit tests, preset discovery, byte-identity of the default run
-# against an explicit --machine paper1997, the modern preset over
-# Q3/Q6/Q12 under the invariant checker with per-level counter
-# reconciliation, and a spec file written on the spot driving a bench.
+# against an explicit --machine paper1997, and a spec file written on
+# the spot driving a bench.
 machine_checks() {
     local dir="$1"
     local filter='Hierarchy.*:MachineSpec.*:MachineValidation.*'
@@ -258,14 +172,10 @@ machine_checks() {
         exit 1
     fi
 
-    # The modern three-level preset over Q3/Q6/Q12, invariant checker on.
-    local modern_json="$dir/machine_check_modern.json"
-    "$dir/bench/fig6_time_breakdown" --scale tiny --check \
-        --machine modern --json "$modern_json" > /dev/null
-
     # A machine-spec *file* must drive a bench end to end: modern's
-    # geometry with a distinctive middle level (512K instead of 256K)
-    # so the report provably came from the file, not a preset.
+    # geometry with a distinctive middle level (512K instead of 256K).
+    # MachineSpec.LoadsSpecFileAndRejectsUnknownKeys checks that such a
+    # file reaches the report's config block.
     local spec_json="$dir/machine_check_spec.json"
     local file_json="$dir/machine_check_from_file.json"
     cat > "$spec_json" <<'SPEC'
@@ -280,59 +190,6 @@ machine_checks() {
 SPEC
     "$dir/bench/fig6_time_breakdown" --scale tiny \
         --machine "$spec_json" --json "$file_json" > /dev/null
-
-    python3 - "$modern_json" "$file_json" <<'PYMACHINE'
-import json, sys
-
-modern = json.load(open(sys.argv[1]))
-fromfile = json.load(open(sys.argv[2]))
-
-def fail(msg):
-    sys.stderr.write("check.sh: machine: %s\n" % msg)
-    sys.exit(1)
-
-levels = modern.get("config", {}).get("levels")
-if not isinstance(levels, list) or len(levels) != 3:
-    fail("modern config does not expose a three-entry levels array")
-
-def miss_total(c, proc, lvl):
-    prefix = "%s.%s.miss." % (proc, lvl)
-    return sum(v for k, v in c.items() if k.startswith(prefix))
-
-for run in modern["runs"]:
-    c = run["counters"]
-    procs = sorted({k.split(".")[0] for k in c if k.startswith("proc")})
-    if not procs:
-        fail("%s exports no per-processor counters" % run["label"])
-    for p in procs:
-        l2_acc = c["%s.l2_accesses" % p]
-        if c["%s.l3_accesses" % p] == 0 and l2_acc > 0:
-            fail("%s %s: l2 accesses but the l3 was never consulted"
-                 % (run["label"], p))
-        # Every L1 miss is an L2 lookup, and every L2 lookup resolves.
-        if miss_total(c, p, "l1") != l2_acc:
-            fail("%s %s: l1 misses (%d) != l2 accesses (%d)"
-                 % (run["label"], p, miss_total(c, p, "l1"), l2_acc))
-        if c["%s.l2_hits" % p] + miss_total(c, p, "l2") != l2_acc:
-            fail("%s %s: l2 hits + misses != l2 accesses"
-                 % (run["label"], p))
-        # Atomics consult the coherence point even on an upper-level
-        # hit, so hits + misses bound the lookups from below.
-        l3_acc = c["%s.l3_accesses" % p]
-        if c["%s.l3_hits" % p] + miss_total(c, p, "l3") > l3_acc:
-            fail("%s %s: l3 hits + misses exceed l3 accesses"
-                 % (run["label"], p))
-
-file_levels = fromfile["config"]["levels"]
-if len(file_levels) != 3:
-    fail("spec file's three levels did not reach the report")
-if file_levels[1]["sizeBytes"] != 524288:
-    fail("spec file's 512K middle level did not reach the report"
-         " (got %d)" % file_levels[1]["sizeBytes"])
-
-print("check.sh: machine preset listing, paper1997 byte-identity,"
-      " modern counter reconciliation and spec-file run OK")
-PYMACHINE
 }
 
 # Line-level memory-profile checks against an existing build dir: the
@@ -349,10 +206,11 @@ memprof_checks() {
 # Protocol-verification checks against an existing build dir: the
 # canonicalization/symmetry, model and mutant unit tests plus the
 # model-checker-to-real-machine bridge test, then verify_protocol in
-# clean mode on both machine presets (the exhaustive 2x2 search must
-# report zero violations), the full mutant sweep (every injected
-# protocol bug must be caught with a counterexample), and bit-identity
-# of the JSON report across repeated runs.
+# clean mode on both machine presets (json_validate requires the
+# exhaustive 2x2 search to report zero violations), the full mutant
+# sweep (every injected protocol bug must be caught with a
+# counterexample), and bit-identity of the JSON report across repeated
+# runs.
 verify_checks() {
     local dir="$1"
     local filter='VerifyCanonical.*:VerifyModel.*:VerifyClean.*'
@@ -369,6 +227,7 @@ verify_checks() {
         --json "$paper_json"
     "$dir/bench/verify_protocol" --verify-procs 2 --verify-lines 2 \
         --machine modern --json "$modern_json"
+    "$dir/tests/json_validate" "$paper_json" "$modern_json"
 
     # Soundness: all four protocol mutants must be *caught*. A mutant
     # that escapes the search makes the bench exit 3.
@@ -384,45 +243,6 @@ verify_checks() {
              "runs of the same search" >&2
         exit 1
     fi
-
-    python3 - "$paper_json" "$modern_json" <<'PYVERIFY'
-import json, sys
-
-def fail(msg):
-    sys.stderr.write("check.sh: verify: %s\n" % msg)
-    sys.exit(1)
-
-reports = [json.load(open(p)) for p in sys.argv[1:3]]
-states = []
-for path, doc in zip(sys.argv[1:3], reports):
-    runs = doc.get("verify")
-    if not isinstance(runs, list) or not runs:
-        fail("no verify block in %s" % path)
-    run = runs[0]
-    for key in ("states", "transitions", "depth", "violations",
-                "exhausted", "mutant"):
-        if key not in run:
-            fail("%s verify block lacks '%s'" % (path, key))
-    if run["mutant"] != "none":
-        fail("%s first run is not the clean search" % path)
-    if not run["exhausted"]:
-        fail("%s search did not exhaust the state space" % path)
-    if run["violations"] != 0:
-        fail("%s clean search reports violations" % path)
-    c = doc.get("counters", {})
-    if c.get("verify.states") != run["states"]:
-        fail("%s verify.states counter disagrees with the report" % path)
-    states.append(run["states"])
-
-# One tracked subline cannot tell the hierarchies apart: the extra
-# level only changes latency, which the abstraction drops.
-if states[0] != states[1]:
-    fail("paper1997 (%d states) and modern (%d states) disagree"
-         % (states[0], states[1]))
-
-print("check.sh: verify clean searches exhausted (%d states), mutants"
-      " caught, report bit-identical" % states[0])
-PYVERIFY
 }
 
 # Static gates: the determinism lint over the deterministic core always;
@@ -459,8 +279,8 @@ if [[ "$chaos" -eq 1 ]]; then
         cmake -B "$dir" -S "$repo" -DSIM_SANITIZE="$san"
         cmake --build "$dir" -j"$(nproc)" \
             --target dss_tests chaos_fault_sweep ablation_placement \
-            report_memprof throughput_stream resilience_sweep \
-            fig6_time_breakdown verify_protocol
+            report_memprof throughput_stream fig6_time_breakdown \
+            verify_protocol json_validate
         "$dir/tests/dss_tests" --gtest_filter="$filter"
         "$dir/bench/chaos_fault_sweep" --scale tiny
         "$dir/bench/ablation_placement" --scale tiny --check
@@ -469,9 +289,6 @@ if [[ "$chaos" -eq 1 ]]; then
         memprof_checks "$dir"
         # Stream scheduler fuzz + schema under the sanitizer.
         stream_checks "$dir"
-        # Deadlines, shedding, breaker and node-failure migration under
-        # the sanitizer, plus the SLO schema/conservation checks.
-        resilience_checks "$dir"
         # The N-level hierarchy and machine-spec layer under the
         # sanitizer: preset discovery, paper1997 byte-identity, modern
         # counter reconciliation and a spec-file-driven run.
@@ -533,13 +350,6 @@ elif [[ "$stream" -eq 1 ]]; then
         --target dss_tests throughput_stream
     stream_checks "$build"
     echo "check.sh: stream checks passed"
-elif [[ "$resilience" -eq 1 ]]; then
-    build="${build:-$repo/build}"
-    cmake -B "$build" -S "$repo"
-    cmake --build "$build" -j"$(nproc)" \
-        --target dss_tests resilience_sweep
-    resilience_checks "$build"
-    echo "check.sh: resilience checks passed"
 elif [[ "$machine" -eq 1 ]]; then
     build="${build:-$repo/build}"
     cmake -B "$build" -S "$repo"
@@ -551,7 +361,7 @@ elif [[ "$verify" -eq 1 ]]; then
     build="${build:-$repo/build}"
     cmake -B "$build" -S "$repo"
     cmake --build "$build" -j"$(nproc)" \
-        --target dss_tests verify_protocol
+        --target dss_tests verify_protocol json_validate
     verify_checks "$build"
     echo "check.sh: verify checks passed"
 elif [[ "$lint" -eq 1 ]]; then

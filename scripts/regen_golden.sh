@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Regenerate the golden-stats fixtures under tests/golden/ from the
-# current simulator behaviour, then re-run the golden tests to confirm
-# the fixtures round-trip.
+# Regenerate the golden-stats fixtures under tests/golden/ and the
+# taxonomy baseline BENCH_baseline.json from the current simulator
+# behaviour, then re-run the golden tests to confirm the fixtures
+# round-trip (ctest's baseline_json_* pair gates the baseline).
 #
 # Usage: scripts/regen_golden.sh [build-dir]   (default: build/)
 #
@@ -12,7 +13,10 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build}"
 
-cmake --build "$build" -j"$(nproc)" --target dss_tests
+cmake --build "$build" -j"$(nproc)" --target dss_tests taxonomy_all_queries
 DSS_REGEN_GOLDEN=1 "$build/tests/dss_tests" --gtest_filter='GoldenStats.*'
 "$build/tests/dss_tests" --gtest_filter='GoldenStats.*'
-git -C "$repo" --no-pager diff --stat -- tests/golden || true
+"$build/bench/taxonomy_all_queries" --json "$repo/BENCH_baseline.json" \
+    > /dev/null
+git -C "$repo" --no-pager diff --stat -- tests/golden BENCH_baseline.json ||
+    true

@@ -42,8 +42,6 @@ find "$build" -name '*.gcda' -delete
 
 filter='Percentile.*:LatencySummary.*:StreamModel.*:TraceCacheUnit.*'
 filter+=':SchedSim.*:StreamFuzz.*:GoldenStats.Stream*'
-filter+=':ShedPolicyModel.*:ResilienceConfigModel.*:ShedVictimModel.*'
-filter+=':CircuitBreakerModel.*:OutageTableModel.*:ResilienceSim.*'
 "$build/tests/dss_tests" --gtest_filter="$filter"
 
 # gcov writes per-source reports next to the object files; the summary

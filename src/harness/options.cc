@@ -1,8 +1,12 @@
 #include "harness/options.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
+#include <type_traits>
 
 #include "obs/stats_json.hh"
 #include "sim/spec.hh"
@@ -11,6 +15,30 @@ namespace dss {
 namespace harness {
 
 namespace {
+
+/**
+ * @p v as a decimal count in [@p lo, @p hi]. Only digits pass: a sign,
+ * a space or a base prefix is rejected, and so is a value past @p hi,
+ * overflow included, instead of wrapping.
+ */
+std::optional<std::uint64_t>
+parseCount(const std::string &v, std::uint64_t lo, std::uint64_t hi)
+{
+    if (v.empty())
+        return std::nullopt;
+    std::uint64_t n = 0;
+    for (const char c : v) {
+        if (c < '0' || c > '9')
+            return std::nullopt;
+        const auto d = static_cast<std::uint64_t>(c - '0');
+        if (n > hi / 10 || d > hi - n * 10)
+            return std::nullopt;
+        n = n * 10 + d;
+    }
+    if (n < lo)
+        return std::nullopt;
+    return n;
+}
 
 void
 usage(std::ostream &os, const std::string &bench, unsigned flags)
@@ -54,16 +82,6 @@ usage(std::ostream &os, const std::string &bench, unsigned flags)
            << "  --stream-policy <p>\n"
               "                   dispatch policy: fifo (default), "
               "shortest\n";
-    if (flags & BenchOptions::kResilience)
-        os << "  --deadline <c>   per-query deadline in simulated cycles;\n"
-              "                   later completions abort as timeouts\n"
-           << "  --queue-cap <n>  bound the run queue to n waiting\n"
-              "                   instances (0 allowed; default unbounded)\n"
-           << "  --shed <p>       load-shedding policy for a full queue:\n"
-              "                   newest (default), class, deadline\n"
-           << "  --breaker <p>    per-class circuit breaker: shed a class\n"
-              "                   whose recent timeout rate reaches p in\n"
-              "                   (0,1]; half-opens after a cooldown\n";
     if (flags & BenchOptions::kMachine)
         os << "  --machine <m>    machine spec: a preset (paper1997 "
               "default,\n"
@@ -118,16 +136,20 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench_name,
         }
         return argv[i + 1];
     };
-    auto positive = [&](int i, const char *what) -> std::uint64_t {
-        const std::string v = needValue(i);
-        char *end = nullptr;
-        std::uint64_t n = std::strtoull(v.c_str(), &end, 10);
-        if (!end || *end != '\0' || n == 0) {
-            std::cerr << bench_name << ": " << what
-                      << " needs a positive count, got '" << v << "'\n";
+    // Store the decimal count @p v in @p out, within [lo, hi] and the
+    // range of out's type, or exit 2 saying what @p what needs.
+    auto count = [&](const std::string &v, const char *what,
+                     const char *need, auto &out, std::uint64_t lo = 1,
+                     std::uint64_t hi = ~std::uint64_t{0}) {
+        using T = std::remove_reference_t<decltype(out)>;
+        hi = std::min<std::uint64_t>(hi, std::numeric_limits<T>::max());
+        const std::optional<std::uint64_t> n = parseCount(v, lo, hi);
+        if (!n) {
+            std::cerr << bench_name << ": " << what << " needs " << need
+                      << ", got '" << v << "'\n";
             std::exit(2);
         }
-        return n;
+        out = static_cast<T>(*n);
     };
     auto supported = [&](const std::string &arg, unsigned flag) -> bool {
         if (flags & flag)
@@ -147,7 +169,8 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench_name,
         } else if (arg == "--trace" && supported(arg, kTrace)) {
             opts.tracePath = needValue(i++);
         } else if (arg == "--epoch" && supported(arg, kEpoch)) {
-            opts.epochCycles = positive(i++, "--epoch");
+            count(needValue(i++), "--epoch", "a positive count",
+                  opts.epochCycles);
         } else if (arg == "--scale" && supported(arg, kScale)) {
             opts.scale = needValue(i++);
             if (opts.scale != "paper" && opts.scale != "tiny") {
@@ -158,16 +181,8 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench_name,
         } else if (arg == "--check" && supported(arg, kCheck)) {
             opts.check = true;
         } else if (arg == "--fault-seed" && supported(arg, kFault)) {
-            const std::string v = needValue(i++);
-            char *end = nullptr;
-            std::uint64_t n = std::strtoull(v.c_str(), &end, 10);
-            if (!end || *end != '\0' || v.empty()) {
-                std::cerr << bench_name
-                          << ": --fault-seed needs an integer, got '" << v
-                          << "'\n";
-                std::exit(2);
-            }
-            opts.faultSeed = n;
+            count(needValue(i++), "--fault-seed", "an integer",
+                  opts.faultSeed, 0);
         } else if (arg == "--fault-rate" && supported(arg, kFault)) {
             const std::string v = needValue(i++);
             char *end = nullptr;
@@ -190,19 +205,11 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench_name,
             }
             opts.placement = *spec;
         } else if (arg == "--stream" && supported(arg, kStream)) {
-            opts.streamInstances =
-                static_cast<unsigned>(positive(i++, "--stream"));
+            count(needValue(i++), "--stream", "a positive count",
+                  opts.streamInstances);
         } else if (arg == "--stream-seed" && supported(arg, kStream)) {
-            const std::string v = needValue(i++);
-            char *end = nullptr;
-            std::uint64_t n = std::strtoull(v.c_str(), &end, 10);
-            if (!end || *end != '\0' || v.empty()) {
-                std::cerr << bench_name
-                          << ": --stream-seed needs an integer, got '" << v
-                          << "'\n";
-                std::exit(2);
-            }
-            opts.streamSeed = n;
+            count(needValue(i++), "--stream-seed", "an integer",
+                  opts.streamSeed, 0);
         } else if (arg == "--stream-policy" && supported(arg, kStream)) {
             opts.streamPolicy = needValue(i++);
             if (opts.streamPolicy != "fifo" &&
@@ -211,40 +218,6 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench_name,
                           << opts.streamPolicy << "' (fifo, shortest)\n";
                 std::exit(2);
             }
-        } else if (arg == "--deadline" && supported(arg, kResilience)) {
-            opts.deadlineCycles = positive(i++, "--deadline");
-        } else if (arg == "--queue-cap" && supported(arg, kResilience)) {
-            const std::string v = needValue(i++);
-            char *end = nullptr;
-            std::uint64_t n = std::strtoull(v.c_str(), &end, 10);
-            if (!end || *end != '\0' || v.empty()) {
-                std::cerr << bench_name
-                          << ": --queue-cap needs a count (0 allowed), "
-                             "got '"
-                          << v << "'\n";
-                std::exit(2);
-            }
-            opts.queueCapacity = n;
-        } else if (arg == "--shed" && supported(arg, kResilience)) {
-            opts.shedPolicy = needValue(i++);
-            if (opts.shedPolicy != "newest" && opts.shedPolicy != "class" &&
-                opts.shedPolicy != "deadline") {
-                std::cerr << bench_name << ": unknown --shed '"
-                          << opts.shedPolicy
-                          << "' (newest, class, deadline)\n";
-                std::exit(2);
-            }
-        } else if (arg == "--breaker" && supported(arg, kResilience)) {
-            const std::string v = needValue(i++);
-            char *end = nullptr;
-            double r = std::strtod(v.c_str(), &end);
-            if (!end || *end != '\0' || v.empty() || r <= 0.0 || r > 1.0) {
-                std::cerr << bench_name
-                          << ": --breaker needs a rate in (0,1], got '"
-                          << v << "'\n";
-                std::exit(2);
-            }
-            opts.breakerThreshold = r;
         } else if (arg == "--machine" && supported(arg, kMachine)) {
             opts.machine = needValue(i++);
             if (opts.machine == "list") {
@@ -253,48 +226,31 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench_name,
                 std::exit(0);
             }
         } else if (arg == "--verify-procs" && supported(arg, kVerify)) {
-            opts.verifyProcs =
-                static_cast<unsigned>(positive(i++, "--verify-procs"));
+            count(needValue(i++), "--verify-procs", "a positive count",
+                  opts.verifyProcs);
         } else if (arg == "--verify-lines" && supported(arg, kVerify)) {
-            opts.verifyLines =
-                static_cast<unsigned>(positive(i++, "--verify-lines"));
+            count(needValue(i++), "--verify-lines", "a positive count",
+                  opts.verifyLines);
         } else if (arg == "--verify-wb" && supported(arg, kVerify)) {
-            opts.verifyWb =
-                static_cast<unsigned>(positive(i++, "--verify-wb"));
+            count(needValue(i++), "--verify-wb", "a positive count",
+                  opts.verifyWb);
         } else if (arg == "--verify-depth" && supported(arg, kVerify)) {
-            opts.verifyDepth =
-                static_cast<unsigned>(positive(i++, "--verify-depth"));
+            count(needValue(i++), "--verify-depth", "a positive count",
+                  opts.verifyDepth);
         } else if (arg == "--verify-mutant" && supported(arg, kVerify)) {
             const std::string v = needValue(i++);
-            if (v == "all") {
+            if (v == "all")
                 opts.verifyMutant = -1;
-            } else {
-                char *end = nullptr;
-                std::uint64_t n = std::strtoull(v.c_str(), &end, 10);
-                if (!end || *end != '\0' || n == 0 || n > 4) {
-                    std::cerr << bench_name
-                              << ": --verify-mutant needs 1-4 or 'all', "
-                                 "got '"
-                              << v << "'\n";
-                    std::exit(2);
-                }
-                opts.verifyMutant = static_cast<int>(n);
-            }
+            else
+                count(v, "--verify-mutant", "1-4 or 'all'",
+                      opts.verifyMutant, 1, 4);
         } else if (arg == "--memprof" && supported(arg, kMemprof)) {
             opts.memprof = true;
         } else if (arg.rfind("--memprof=", 0) == 0 &&
                    supported(arg, kMemprof)) {
-            const std::string v = arg.substr(10);
-            char *end = nullptr;
-            std::uint64_t n = std::strtoull(v.c_str(), &end, 10);
-            if (!end || *end != '\0' || v.empty() || n == 0 || n > 100000) {
-                std::cerr << bench_name
-                          << ": --memprof=N needs a positive count, got '"
-                          << v << "'\n";
-                std::exit(2);
-            }
+            count(arg.substr(10), "--memprof=N", "a positive count",
+                  opts.memprofTopN, 1, 100000);
             opts.memprof = true;
-            opts.memprofTopN = static_cast<unsigned>(n);
         } else {
             std::cerr << bench_name << ": unknown option '" << arg
                       << "'\n";

@@ -29,12 +29,6 @@
  *                    "--machine list" prints the presets (the kMachine
  *                    bit — every bench built on harness::benchMain
  *                    accepts it)
- *   --deadline <c> / --queue-cap <n> / --shed <newest|class|deadline>
- *                  / --breaker <p>
- *                    stream resilience knobs (src/sched/resilience.hh):
- *                    per-query deadline in cycles, bounded run queue with
- *                    a load-shedding policy, and a per-class circuit
- *                    breaker timeout-rate threshold (the kResilience bit)
  *
  * ObsSession owns the wiring: it hands out the sampler/timeline pointers
  * to pass to the runner, collects per-run stats and registry snapshots,
@@ -83,22 +77,17 @@ struct BenchOptions
          */
         kStream = 1u << 8,
         /**
-         * --deadline / --queue-cap / --shed / --breaker. Like kStream,
-         * outside kAll: only resilience-aware stream benches opt in.
-         */
-        kResilience = 1u << 9,
-        /**
          * --machine. Outside kAll so direct parse() callers are
          * unaffected; harness::benchMain ORs it in, which is how all
          * bench binaries pick the flag up in one place.
          */
-        kMachine = 1u << 10,
+        kMachine = 1u << 9,
         /**
          * --verify-procs / --verify-lines / --verify-wb / --verify-depth
          * / --verify-mutant. Outside kAll: only the protocol model
          * checker bench (bench/verify_protocol.cc) opts in.
          */
-        kVerify = 1u << 11,
+        kVerify = 1u << 10,
     };
 
     std::string jsonPath;        ///< --json; empty = no JSON output
@@ -115,11 +104,6 @@ struct BenchOptions
     unsigned streamInstances = 0; ///< --stream; 0 = the bench's default
     std::uint64_t streamSeed = 42; ///< --stream-seed
     std::string streamPolicy = "fifo"; ///< --stream-policy: fifo, shortest
-    sim::Cycles deadlineCycles = 0; ///< --deadline; 0 = no deadlines
-    /** --queue-cap; ~0 = unbounded run queue. */
-    std::uint64_t queueCapacity = ~std::uint64_t{0};
-    std::string shedPolicy = "newest"; ///< --shed: newest, class, deadline
-    double breakerThreshold = 0.0; ///< --breaker; 0 = breaker off
     /** --machine: preset name or JSON spec path (sim::loadSpec). */
     std::string machine = "paper1997";
     unsigned verifyProcs = 2; ///< --verify-procs: model processors

@@ -42,7 +42,6 @@
 #include "harness/workload.hh"
 #include "obs/json.hh"
 #include "sched/latency.hh"
-#include "sched/resilience.hh"
 #include "sched/stream.hh"
 #include "sched/trace_cache.hh"
 #include "sim/machine.hh"
@@ -51,26 +50,18 @@
 namespace dss {
 namespace sched {
 
-/** Everything recorded about one resolved query instance. */
+/** Everything recorded about one completed query instance. */
 struct InstanceRecord
 {
     QueryInstance inst;
-    sim::ProcId proc = 0;     ///< processor slot it ran on (0 if shed)
-    sim::Cycles start = 0;    ///< dispatch cycle (shed cycle if shed)
-    sim::Cycles complete = 0; ///< resolution cycle
+    sim::ProcId proc = 0;     ///< processor slot it ran on
+    sim::Cycles start = 0;    ///< dispatch cycle
+    sim::Cycles complete = 0; ///< completion cycle
     sim::Cycles service = 0;  ///< cycles the processor was occupied
     sim::Cycles wait = 0;     ///< start - arrival (queueing delay)
     sim::Cycles latency = 0;  ///< complete - arrival
     std::uint64_t traceHash = 0; ///< content hash of the replayed trace
     sim::SimStats stats;      ///< full solo-run statistics
-
-    // Resilience fields; serialized only when the layer is enabled, so
-    // legacy stream reports stay byte-identical.
-    Outcome outcome = Outcome::Ok;
-    unsigned attempts = 0;    ///< dispatches (0 when shed unstarted)
-    unsigned migrations = 0;  ///< node-failure re-dispatches
-    sim::Cycles deadline = 0; ///< absolute deadline cycle; 0 = none
-    bool degraded = false;    ///< overlapped a node outage
 };
 
 /** A finished stream: per-instance records plus stream-level accounting. */
@@ -84,19 +75,17 @@ struct StreamResult
     LatencySummary service;              ///< dispatch -> completion
     /** Per-query-name latency summaries, sorted by name. */
     std::vector<std::pair<std::string, LatencySummary>> byQuery;
-    /** Goodput instances per million simulated cycles of makespan. */
+    /** Completed instances per million simulated cycles of makespan. */
     double throughputPerMcycle = 0.0;
     TraceCache::Stats cache; ///< snapshot of the cache after the run
-    bool resilienceEnabled = false;
-    ResilienceReport resilience; ///< filled when resilienceEnabled
 };
 
 /**
  * The full result as JSON. @p include_run_stats embeds each instance's
- * complete solo-run toJson(SimStats) — exact but bulky; stream goldens
- * and differential tests use it, human-facing reports may skip it. Two
- * runs of the same configuration serialize byte-identically, which the
- * golden fixtures pin (tests/golden/stream*.json).
+ * complete solo-run toJson(SimStats) — exact but bulky; the stream
+ * golden and differential tests use it, human-facing reports may skip
+ * it. Two runs of the same configuration serialize byte-identically,
+ * which the golden fixture pins (tests/golden/stream.json).
  */
 obs::Json toJson(const StreamResult &r, bool include_run_stats = true);
 
@@ -118,43 +107,30 @@ class StreamScheduler
                     const sim::MachineConfig &machine_cfg,
                     const StreamConfig &stream_cfg,
                     const harness::RunOptions &base_opts,
-                    TraceCache *cache,
-                    const ResilienceConfig &resilience = ResilienceConfig());
+                    TraceCache *cache);
 
     /** Run the whole stream; callable once per scheduler. */
     StreamResult run();
 
-    struct Counters
-    {
-        std::uint64_t instances = 0;
-        std::uint64_t dispatched = 0;
-        std::uint64_t completed = 0;  ///< resolved within deadline (= goodput)
-        std::uint64_t queuePeak = 0;  ///< max instances left waiting
-        std::uint64_t timeouts = 0;
-        std::uint64_t migrations = 0;
-        std::uint64_t shedQueue = 0;
-        std::uint64_t shedBreaker = 0;
-        std::uint64_t shedExpired = 0;
-        std::uint64_t abandoned = 0;
-        std::uint64_t breakerTrips = 0;
-        std::uint64_t breakerRecoveries = 0;
-    };
-
     /**
-     * Export the sched.* counters: instances/dispatched/completed/
-     * queue_peak plus the resilience set (goodput, timeouts, migrations,
-     * shed.{queue,breaker,expired}, abandoned, breaker.{trips,
-     * recoveries}) — always present, zero when the layer is off. Valid
-     * after run(); the scheduler must outlive @p reg's use.
+     * Export the sched.* counters: instances, dispatched, completed and
+     * queue_peak. Valid after run(); the scheduler must outlive @p reg's
+     * use.
      */
     void registerStats(obs::Registry &reg,
                        const std::string &prefix = "sched") const;
 
-    const Counters &counters() const { return counters_; }
-
     sim::Machine &machine() { return machine_; }
 
   private:
+    struct Counters
+    {
+        std::uint64_t instances = 0;
+        std::uint64_t dispatched = 0;
+        std::uint64_t completed = 0;
+        std::uint64_t queuePeak = 0;  ///< max instances left waiting
+    };
+
     unsigned pickNext(const std::vector<QueryInstance> &instances,
                       const std::vector<unsigned> &ready) const;
     InstanceRecord runInstance(const QueryInstance &inst, sim::ProcId proc,
@@ -164,7 +140,6 @@ class StreamScheduler
     StreamConfig cfg_;
     harness::RunOptions opts_;
     TraceCache *cache_;
-    ResilienceConfig res_;
     sim::Machine machine_;
     Counters counters_;
     bool ran_ = false;

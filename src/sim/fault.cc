@@ -1,7 +1,6 @@
 #include "sim/fault.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/registry.hh"
 
@@ -17,7 +16,6 @@ faultKindName(FaultKind k)
       case FaultKind::WbStall: return "wb_stall";
       case FaultKind::LockPreempt: return "lock_preempt";
       case FaultKind::QueryAbort: return "query_abort";
-      case FaultKind::NodeFailure: return "node_failure";
     }
     return "?";
 }
@@ -133,45 +131,6 @@ FaultPlan::recordRetry(Cycles backoff)
 {
     ++retries_;
     backoffCycles_ += backoff;
-}
-
-std::optional<FaultPlan::Outage>
-FaultPlan::nodeOutage(ProcId p, unsigned k) const
-{
-    if (cfg_.rate <= 0.0 || !cfg_.enabled(FaultKind::NodeFailure) ||
-        p >= kMaxProcs)
-        return std::nullopt;
-    const bool permanent = cfg_.nodeDownCycles == 0;
-    if (permanent && k > 0)
-        return std::nullopt; // a dead node stays dead
-    const double mean_up =
-        static_cast<double>(cfg_.nodeMeanUpCycles) / cfg_.rate;
-    Cycles start = 0;
-    for (unsigned i = 0; i <= k; ++i) {
-        const std::uint64_t h = mix(
-            cfg_.seed ^ mix(0xF01Dull ^
-                            (static_cast<std::uint64_t>(p) << 40) ^
-                            (static_cast<std::uint64_t>(i) << 4)));
-        // Exponential up-time gap, floored at one cycle so windows can
-        // never collide even at rate 1.0.
-        const double gap = -mean_up * std::log(1.0 - unit(h));
-        start += std::max<Cycles>(static_cast<Cycles>(gap), 1);
-        if (i > 0)
-            start += cfg_.nodeDownCycles; // the previous down interval
-    }
-    Outage o;
-    o.start = start;
-    o.permanent = permanent;
-    o.end = permanent ? kNever : start + cfg_.nodeDownCycles;
-    return o;
-}
-
-void
-FaultPlan::recordNodeFailure(ProcId p, std::uint64_t pos, Cycles down)
-{
-    if (p >= kMaxProcs)
-        return;
-    record(FaultKind::NodeFailure, p, pos, down);
 }
 
 std::vector<FaultPlan::Event>

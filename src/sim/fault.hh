@@ -13,13 +13,6 @@
  *                   spinlock pathology the paper's MSync time measures)
  *  - QueryAbort:    a DB-level abort of a whole query at trace-generation
  *                   time, retried by the harness with bounded backoff
- *  - NodeFailure:   a whole processor goes out of service for an
- *                   interval. Unlike the per-access kinds this one is
- *                   consumed by the *stream scheduler* (src/sched/), not
- *                   the machine: nodeOutage() exposes each processor's
- *                   seeded outage windows as a pure function of
- *                   (seed, proc, outage index), and the scheduler aborts
- *                   and migrates the queries caught inside them
  *
  * Determinism contract: every decision is a pure function of
  * (seed, run index, processor, per-processor trace position, fault kind)
@@ -39,7 +32,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,9 +51,8 @@ enum class FaultKind : std::uint8_t {
     WbStall,
     LockPreempt,
     QueryAbort,
-    NodeFailure,
 };
-constexpr std::size_t kNumFaultKinds = 6;
+constexpr std::size_t kNumFaultKinds = 5;
 
 std::string_view faultKindName(FaultKind k);
 
@@ -85,15 +76,6 @@ struct FaultConfig
     /** Injected aborts per aborting query; must stay below the harness
      * retry budget so every aborted query eventually succeeds. */
     unsigned maxAbortsPerQuery = 3;
-
-    /** NodeFailure: how long a failed processor stays down. 0 means the
-     * failure is permanent — the processor never comes back, and only
-     * outage index 0 exists. */
-    Cycles nodeDownCycles = 1000000;
-    /** NodeFailure: mean up-time between one processor's outages at
-     * rate 1.0; the effective mean scales as nodeMeanUpCycles / rate, so
-     * higher fault rates fail nodes more often. */
-    Cycles nodeMeanUpCycles = 8000000;
 
     bool enabled(FaultKind k) const { return (kinds & bitOf(k)) != 0; }
 };
@@ -139,33 +121,6 @@ class FaultPlan
 
     /** Retry bookkeeping from the harness backoff path. */
     void recordRetry(Cycles backoff);
-
-    // ----- node outages (consumed by the stream scheduler) -----
-
-    /** Sentinel end cycle of a permanent outage. */
-    static constexpr Cycles kNever = ~Cycles{0};
-
-    /** One seeded out-of-service window of a processor. */
-    struct Outage
-    {
-        Cycles start = 0;
-        Cycles end = kNever; ///< start + nodeDownCycles; kNever = forever
-        bool permanent = false;
-    };
-
-    /**
-     * Processor @p p's @p k-th outage window, or nullopt when the
-     * NodeFailure kind is disabled (or the config is permanent-failure
-     * and k > 0). Pure function of (seed, p, k): outage k starts after
-     * k+1 exponential up-time gaps (mean nodeMeanUpCycles / rate) plus
-     * the k earlier down intervals, so windows never overlap.
-     */
-    std::optional<Outage> nodeOutage(ProcId p, unsigned k) const;
-
-    /** Count a fired node failure (an outage the scheduler actually hit)
-     * into the log/counters; @p pos is the outage index, @p down its
-     * length (0 when permanent). */
-    void recordNodeFailure(ProcId p, std::uint64_t pos, Cycles down);
 
     // ----- aggregation (outside a run only) -----
 

@@ -6,7 +6,8 @@
  *
  * Each file must parse with the obs JSON reader. Report files (default)
  * must carry a non-empty "runs" array whose entries contain stats with a
- * breakdown summing to ~100%. Trace files (--trace) must be Chrome trace
+ * breakdown summing to ~100%, or, from the model checker, a "verify"
+ * array whose clean searches are exhausted and violation-free. Trace files (--trace) must be Chrome trace
  * -event documents: a "traceEvents" array of "X"/"M" events with ts/dur.
  * Exit status 0 when every file is valid; 1 otherwise. Used by the CTest
  * smoke tests that run a real bench binary end to end.
@@ -56,7 +57,22 @@ validateReport(const std::string &path, const Json &doc)
                                           key + "\"");
             if (res.find("states")->asInt() == 0)
                 return fail(path, "verify entry explored zero states");
+            // A clean search must exhaust the state space and find
+            // nothing; mutant entries are expected to be caught.
+            if (res.find("mutant")->asString() == "none" &&
+                (!res.find("exhausted")->asBool() ||
+                 res.find("violations")->asUint() != 0))
+                return fail(path, "clean search did not exhaust the state "
+                                  "space without violations");
         }
+        // The registry's verify.* counters describe the last search.
+        const Json &last = verify->at(verify->size() - 1);
+        const Json *counters = doc.find("counters");
+        const Json *states =
+            counters ? counters->find("verify.states") : nullptr;
+        if (!states || states->asUint() != last.find("states")->asUint())
+            return fail(path, "verify.states counter disagrees with the "
+                              "last search");
         if (runs->isArray() && runs->size() == 0)
             return true;
     }

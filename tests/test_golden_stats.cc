@@ -22,7 +22,6 @@
 #include "harness/workload.hh"
 #include "obs/stats_json.hh"
 #include "sched/scheduler.hh"
-#include "sim/fault.hh"
 #include "tpcd/queries.hh"
 
 #ifndef DSS_GOLDEN_DIR
@@ -111,49 +110,6 @@ TEST(GoldenStats, Stream)
                                  harness::RunOptions{}, &cache);
     expectGolden(toJson(sched.run(), true).dump(2) + "\n", "stream.json",
                  "stream stats");
-}
-
-/**
- * Resilient-stream golden: the full resilience layer at once — a binding
- * deadline, a bounded run queue, the per-class breaker, and seeded node
- * failures with migration — pinned with its SLO accounting, breaker
- * states and fired outages.
- */
-TEST(GoldenStats, StreamResilience)
-{
-    harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
-    sched::StreamConfig scfg;
-    scfg.instances = 10;
-    scfg.seed = 42;
-    scfg.mode = sched::ArrivalMode::Open;
-    scfg.meanInterarrival = 300000;
-    scfg.policy = sched::Policy::Fifo;
-    scfg.paramVariants = 2;
-
-    sched::ResilienceConfig res;
-    res.deadline = 2200000;
-    res.queueCapacity = 3;
-    res.shed = sched::ShedPolicy::DeadlineAware;
-    res.nodeFailures = true;
-    res.breakerThreshold = 0.5;
-    res.breakerWindow = 2;
-    res.breakerCooldown = 500000;
-
-    sim::FaultConfig fc;
-    fc.seed = 7;
-    fc.rate = 1.0;
-    fc.kinds = sim::FaultConfig::bitOf(sim::FaultKind::NodeFailure);
-    fc.nodeMeanUpCycles = 2000000;
-    fc.nodeDownCycles = 1200000;
-    sim::FaultPlan plan(fc);
-
-    harness::RunOptions opts;
-    opts.faults = &plan;
-    sched::TraceCache cache;
-    sched::StreamScheduler sched(wl, sim::MachineConfig::baseline(), scfg,
-                                 opts, &cache, res);
-    expectGolden(toJson(sched.run(), true).dump(2) + "\n",
-                 "stream_resilience.json", "resilient stream stats");
 }
 
 } // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
  * Graceful-failure layer tests (harness/guard.hh): exponential backoff
- * arithmetic, the bounded QueryAbort retry loop, and guardedMain's
- * catch-and-report contract (structured error JSON on stderr, exit code
- * kErrorExitCode, never a crash).
+ * arithmetic, the bounded QueryAbort retry loop, the retry counters'
+ * registry names, and guardedMain's catch-and-report contract
+ * (structured error JSON on stderr, exit code kErrorExitCode, never a
+ * crash).
  */
 
 #include <sstream>
@@ -13,6 +14,7 @@
 
 #include "harness/guard.hh"
 #include "obs/json.hh"
+#include "obs/registry.hh"
 #include "sim/error.hh"
 
 namespace {
@@ -77,6 +79,17 @@ TEST(RetryOnAbort, NonAbortExceptionsPassStraightThrough)
                                        }),
                  std::runtime_error);
     EXPECT_EQ(calls, 1u); // no retry for non-abort failures
+}
+
+TEST(RetryStats, RegisterUnderHarnessPrefix)
+{
+    harness::RetryStats stats;
+    stats.attempts = 4;
+    stats.aborts = 5;
+    obs::Registry reg;
+    stats.registerStats(reg);
+    EXPECT_EQ(reg.counterValue("harness.retry.attempts"), 4u);
+    EXPECT_EQ(reg.counterValue("harness.retry.aborts"), 5u);
 }
 
 TEST(GuardedMain, PassesThroughTheBodysExitCode)

@@ -4,9 +4,10 @@
  * declarative MachineSpec layer (sim/spec.hh): strict inclusion along
  * three-level chains, coherent-level evictions clearing the upper
  * levels, per-level counter reconciliation, spec JSON round-trips,
- * preset validation, and rerun bit-identity — Q6 on the tiny population
+ * preset validation, rerun bit-identity — Q6 on the tiny population
  * must produce identical statistics on every rerun for both the
- * paper1997 and modern presets.
+ * paper1997 and modern presets — and the modern preset's published
+ * Q3/Q6/Q12 numbers with their registry reconciliation.
  */
 
 #include <cstdio>
@@ -19,6 +20,7 @@
 
 #include "harness/runner.hh"
 #include "obs/stats_json.hh"
+#include "sim/check.hh"
 #include "sim/error.hh"
 #include "sim/machine.hh"
 #include "sim/spec.hh"
@@ -228,6 +230,19 @@ TEST(MachineSpec, LoadsSpecFileAndRejectsUnknownKeys)
     EXPECT_EQ(spec.config.numLevels(), 3u);
     EXPECT_EQ(spec.name, path);
 
+    // A hand-written file reaches the report's config block: modern's
+    // geometry with a distinctive 512 KB middle level.
+    write(R"({"name": "check-file", "levels": [
+        {"sizeBytes": 32768, "lineBytes": 64, "assoc": 8, "hitCycles": 1},
+        {"sizeBytes": 524288, "lineBytes": 64, "assoc": 8, "hitCycles": 14},
+        {"sizeBytes": 8388608, "lineBytes": 64, "assoc": 16,
+         "hitCycles": 48}]})");
+    const obs::Json file_cfg = obs::toJson(loadSpec(path).config);
+    const obs::Json *levels = file_cfg.find("levels");
+    ASSERT_NE(levels, nullptr);
+    ASSERT_EQ(levels->size(), 3u);
+    EXPECT_EQ(levels->at(1).find("sizeBytes")->asUint(), 524288u);
+
     write(R"({"nprocs": 4, "asoc": 2})"); // typo'd key
     EXPECT_THROW(loadSpec(path), SimError);
 
@@ -268,6 +283,80 @@ TEST(MachineSpec, LoadsSpecFileAndRejectsUnknownKeys)
 TEST(MachineSpec, MissingFileThrows)
 {
     EXPECT_THROW(loadSpec("/nonexistent/machine.json"), SimError);
+}
+
+/**
+ * The modern preset over tiny Q3/Q6/Q12 with the invariant checker on,
+ * as `fig6_time_breakdown --scale tiny --machine modern --check` runs
+ * it. Per processor, the registry's level counters reconcile; the runs
+ * reproduce the cycles and the Q6 miss chain EXPERIMENTS.md quotes.
+ */
+TEST(MachineSpec, ModernPresetReconcilesAndReproducesPublishedNumbers)
+{
+    harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
+    const MachineConfig cfg = machinePreset("modern").config;
+    const std::pair<tpcd::QueryId, Cycles> published[] = {
+        {tpcd::QueryId::Q3, 2658886},
+        {tpcd::QueryId::Q6, 4240953},
+        {tpcd::QueryId::Q12, 8313600},
+    };
+    for (const auto &[q, cycles] : published) {
+        SCOPED_TRACE(tpcd::queryName(q));
+        InvariantChecker checker;
+        obs::Json reg;
+        harness::RunOptions opts;
+        opts.checker = &checker;
+        opts.registrySnapshot = &reg;
+        const SimStats s = harness::runCold(cfg, wl.trace(q), opts);
+        // fig6's cycles column sums every processor's cycles.
+        EXPECT_EQ(s.aggregate().totalCycles(), cycles);
+        EXPECT_EQ(checker.totalViolations(), 0u);
+
+        for (unsigned p = 0; p < cfg.nprocs; ++p) {
+            const std::string proc = "proc" + std::to_string(p) + ".";
+            const auto at = [&](const std::string &leaf) -> std::uint64_t {
+                const obs::Json *v = reg.find(proc + leaf);
+                EXPECT_NE(v, nullptr) << proc << leaf;
+                return v ? v->asUint() : 0;
+            };
+            const auto misses = [&](const std::string &lvl) {
+                const std::string prefix = proc + lvl + ".miss.";
+                std::uint64_t n = 0;
+                for (const auto &[name, value] : reg.members())
+                    if (name.rfind(prefix, 0) == 0)
+                        n += value.asUint();
+                return n;
+            };
+            // Every L1 miss is an L2 lookup, and every L2 lookup
+            // resolves. Atomics consult the coherence point even on an
+            // upper-level hit, so the L3's hits and misses only bound
+            // its lookups from below.
+            EXPECT_EQ(misses("l1"), at("l2_accesses")) << proc;
+            EXPECT_EQ(at("l2_hits") + misses("l2"), at("l2_accesses"))
+                << proc;
+            EXPECT_LE(at("l3_hits") + misses("l3"), at("l3_accesses"))
+                << proc;
+            if (at("l2_accesses") > 0) {
+                EXPECT_GT(at("l3_accesses"), 0u) << proc;
+            }
+        }
+
+        if (q != tpcd::QueryId::Q6)
+            continue;
+        // Q6's chain is compulsory-and-coherence misses almost entirely.
+        std::uint64_t miss[3] = {}, hit[3] = {};
+        for (const ProcStats &ps : s.procs) {
+            for (std::size_t lvl = 0; lvl < 3; ++lvl) {
+                miss[lvl] += ps.levelMisses[lvl].total();
+                hit[lvl] += ps.levelHits[lvl];
+            }
+        }
+        EXPECT_EQ(miss[0], 4705u);
+        EXPECT_EQ(miss[1], 4567u);
+        EXPECT_EQ(miss[2], 4555u);
+        EXPECT_EQ(hit[1], 138u);
+        EXPECT_EQ(hit[2], 13u);
+    }
 }
 
 /**

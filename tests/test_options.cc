@@ -9,6 +9,7 @@
  */
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,6 +66,19 @@ TEST(BenchOptionsDeath, UnknownFlagIsFatal)
     EXPECT_EXIT(parseArgs({"--page-profile", "h.json"}, stream),
                 testing::ExitedWithCode(2),
                 "unknown option '--page-profile'");
+    // And the retired stream deadline, queue bound, shed policy and
+    // circuit breaker.
+    const std::pair<const char *, const char *> retired[] = {
+        {"--deadline", "1"},
+        {"--queue-cap", "1"},
+        {"--shed", "newest"},
+        {"--breaker", "0.5"},
+    };
+    for (const auto &[flag, value] : retired) {
+        EXPECT_EXIT(parseArgs({flag, value}, stream),
+                    testing::ExitedWithCode(2),
+                    "unknown option '" + std::string(flag) + "'");
+    }
 }
 
 TEST(BenchOptionsDeath, MisspelledFlagIsFatal)
@@ -120,6 +134,9 @@ TEST(BenchOptions, CheckAndFaultFlagsParse)
     EXPECT_TRUE(o.check);
     EXPECT_EQ(o.faultSeed, 42u);
     EXPECT_DOUBLE_EQ(o.faultRate, 0.01);
+    EXPECT_EQ(parseArgs({"--fault-seed", "18446744073709551615"}).faultSeed,
+              ~std::uint64_t{0})
+        << "the largest seed parses exactly";
 
     sim::FaultConfig fc = o.faultConfig();
     EXPECT_EQ(fc.seed, 42u);
@@ -152,6 +169,15 @@ TEST(BenchOptionsDeath, MalformedFaultSeedIsFatal)
     EXPECT_EXIT(parseArgs({"--fault-seed", "12x"}),
                 testing::ExitedWithCode(2),
                 "--fault-seed needs an integer");
+    // Counts take decimal digits only and never wrap: a sign, a space,
+    // a base prefix or a value past 2^64 - 1 is an error.
+    for (const char *v : {"-1", "+7", " 7", "0x10", "18446744073709551616"})
+        EXPECT_EXIT(parseArgs({"--fault-seed", v}),
+                    testing::ExitedWithCode(2),
+                    "--fault-seed needs an integer");
+    for (const char *v : {"-1", "18446744073709551616"})
+        EXPECT_EXIT(parseArgs({"--epoch", v}), testing::ExitedWithCode(2),
+                    "--epoch needs a positive count");
 }
 
 TEST(BenchOptions, PlacementFlagsParse)
@@ -211,6 +237,10 @@ TEST(BenchOptionsDeath, MalformedMemprofCountIsFatal)
                 "--memprof=N needs a positive count");
     EXPECT_EXIT(parseArgs({"--memprof="}), testing::ExitedWithCode(2),
                 "--memprof=N needs a positive count");
+    for (const char *arg : {"--memprof=-5", "--memprof=100001",
+                            "--memprof=4294967297"})
+        EXPECT_EXIT(parseArgs({arg}), testing::ExitedWithCode(2),
+                    "--memprof=N needs a positive count");
 }
 
 TEST(BenchOptionsDeath, MemprofOutsideDeclaredSubsetIsFatal)
@@ -239,6 +269,11 @@ TEST(BenchOptions, StreamFlagsParse)
     EXPECT_EQ(o.streamInstances, 24u);
     EXPECT_EQ(o.streamSeed, 7u);
     EXPECT_EQ(o.streamPolicy, "shortest");
+    EXPECT_EQ(parseArgs({"--stream", "4294967295"},
+                        BenchOptions::kAll | BenchOptions::kStream)
+                  .streamInstances,
+              4294967295u)
+        << "the largest unsigned count parses exactly";
 }
 
 TEST(BenchOptions, StreamFlagsDefault)
@@ -260,6 +295,16 @@ TEST(BenchOptionsDeath, MalformedStreamFlagsAreFatal)
     EXPECT_EXIT(parseArgs({"--stream-policy", "sjf"}, f),
                 testing::ExitedWithCode(2),
                 "unknown --stream-policy 'sjf'");
+    // A negative count must not wrap to 2^32 - 1 instances, and one past
+    // the unsigned field must not wrap to 0 (the bench's default).
+    for (const char *v : {"-1", "4294967296"})
+        EXPECT_EXIT(parseArgs({"--stream", v}, f),
+                    testing::ExitedWithCode(2),
+                    "--stream needs a positive count");
+    for (const char *v : {"-1", "18446744073709551616"})
+        EXPECT_EXIT(parseArgs({"--stream-seed", v}, f),
+                    testing::ExitedWithCode(2),
+                    "--stream-seed needs an integer");
 }
 
 TEST(BenchOptionsDeath, StreamFlagsOutsideKAllAreFatal)
@@ -268,52 +313,6 @@ TEST(BenchOptionsDeath, StreamFlagsOutsideKAllAreFatal)
     // binaries must keep rejecting the stream flags.
     EXPECT_EXIT(parseArgs({"--stream", "8"}), testing::ExitedWithCode(2),
                 "option '--stream' is not supported");
-}
-
-TEST(BenchOptions, ResilienceFlagsParse)
-{
-    const unsigned f = BenchOptions::kAll | BenchOptions::kStream |
-                       BenchOptions::kResilience;
-    BenchOptions o = parseArgs({"--deadline", "2500000", "--queue-cap",
-                                "4", "--shed", "deadline", "--breaker",
-                                "0.5"},
-                               f);
-    EXPECT_EQ(o.deadlineCycles, 2500000u);
-    EXPECT_EQ(o.queueCapacity, 4u);
-    EXPECT_EQ(o.shedPolicy, "deadline");
-    EXPECT_DOUBLE_EQ(o.breakerThreshold, 0.5);
-
-    // Capacity 0 is a real value (shed whatever cannot start at once).
-    EXPECT_EQ(parseArgs({"--queue-cap", "0"}, f).queueCapacity, 0u);
-}
-
-TEST(BenchOptions, ResilienceFlagsDefaultOff)
-{
-    const unsigned f = BenchOptions::kAll | BenchOptions::kStream |
-                       BenchOptions::kResilience;
-    BenchOptions o = parseArgs({}, f);
-    EXPECT_EQ(o.deadlineCycles, 0u);
-    EXPECT_EQ(o.queueCapacity, ~std::uint64_t{0}) << "unbounded sentinel";
-    EXPECT_EQ(o.shedPolicy, "newest");
-    EXPECT_DOUBLE_EQ(o.breakerThreshold, 0.0);
-}
-
-TEST(BenchOptionsDeath, MalformedResilienceFlagsAreFatal)
-{
-    const unsigned f = BenchOptions::kAll | BenchOptions::kStream |
-                       BenchOptions::kResilience;
-    EXPECT_EXIT(parseArgs({"--deadline", "0"}, f),
-                testing::ExitedWithCode(2), "--deadline");
-    EXPECT_EXIT(parseArgs({"--queue-cap", "4x"}, f),
-                testing::ExitedWithCode(2), "--queue-cap needs a count");
-    EXPECT_EXIT(parseArgs({"--shed", "oldest"}, f),
-                testing::ExitedWithCode(2), "unknown --shed 'oldest'");
-    EXPECT_EXIT(parseArgs({"--breaker", "0"}, f),
-                testing::ExitedWithCode(2),
-                "--breaker needs a rate in \\(0,1\\]");
-    EXPECT_EXIT(parseArgs({"--breaker", "1.5"}, f),
-                testing::ExitedWithCode(2),
-                "--breaker needs a rate in \\(0,1\\]");
 }
 
 TEST(BenchOptions, MachineFlagParses)
@@ -412,24 +411,6 @@ TEST(MachineValidation, ErrorCarriesStructuredDump)
     }
 }
 
-TEST(BenchOptionsDeath, ResilienceFlagsOutsideDeclaredSubsetAreFatal)
-{
-    // kResilience is not part of kAll: single-shot figure binaries keep
-    // rejecting the resilience flags.
-    EXPECT_EXIT(parseArgs({"--deadline", "1000"}),
-                testing::ExitedWithCode(2),
-                "option '--deadline' is not supported");
-    EXPECT_EXIT(parseArgs({"--queue-cap", "4"}),
-                testing::ExitedWithCode(2),
-                "option '--queue-cap' is not supported");
-    EXPECT_EXIT(parseArgs({"--shed", "newest"}),
-                testing::ExitedWithCode(2),
-                "option '--shed' is not supported");
-    EXPECT_EXIT(parseArgs({"--breaker", "0.5"}),
-                testing::ExitedWithCode(2),
-                "option '--breaker' is not supported");
-}
-
 TEST(BenchOptions, VerifyFlagsParse)
 {
     BenchOptions o = parseArgs({"--verify-procs", "3", "--verify-lines",
@@ -472,6 +453,17 @@ TEST(BenchOptionsDeath, MalformedVerifyMutantIsFatal)
                 testing::ExitedWithCode(2), "needs 1-4 or 'all'");
     EXPECT_EXIT(parseArgs({"--verify-mutant", "x"}, BenchOptions::kVerify),
                 testing::ExitedWithCode(2), "needs 1-4 or 'all'");
+    EXPECT_EXIT(parseArgs({"--verify-mutant", "-1"}, BenchOptions::kVerify),
+                testing::ExitedWithCode(2), "needs 1-4 or 'all'");
+    // The search sizes share the count parser: 2^32 + 2 must not wrap to
+    // a 2-processor search.
+    EXPECT_EXIT(parseArgs({"--verify-procs", "4294967298"},
+                          BenchOptions::kVerify),
+                testing::ExitedWithCode(2),
+                "--verify-procs needs a positive count");
+    EXPECT_EXIT(parseArgs({"--verify-lines", "-1"}, BenchOptions::kVerify),
+                testing::ExitedWithCode(2),
+                "--verify-lines needs a positive count");
 }
 
 } // namespace

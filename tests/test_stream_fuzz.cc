@@ -14,14 +14,6 @@
  * One tiny workload and one trace cache are shared across all seeds
  * (captures are pure; test_sched.cc asserts that), which keeps the 50
  * iterations affordable: most instances re-use cached captures.
- *
- * The second fifty-seed pass turns the resilience layer on — random
- * deadlines, queue bounds, shed policies, breaker thresholds and a
- * NodeFailure-only fault plan per seed — and tightens the differential
- * property to the FULL report document: with one cache per replay both
- * see identical fetch sequences, so even the cache and fired-outage
- * accounting must serialize byte-identically. Every instance must
- * resolve exactly once as goodput, timeout, shed or abandoned.
  */
 
 #include <string>
@@ -30,10 +22,8 @@
 
 #include "harness/runner.hh"
 #include "harness/workload.hh"
-#include "sched/resilience.hh"
 #include "sched/scheduler.hh"
 #include "sim/check.hh"
-#include "sim/fault.hh"
 
 namespace {
 
@@ -127,102 +117,6 @@ TEST_F(StreamFuzz, FiftySeedsDifferentialAndChecked)
         ASSERT_EQ(checker.totalViolations(), 0u)
             << "invariant violations in the checked replay";
         ASSERT_EQ(checked.records.size(), cfg.instances);
-    }
-}
-
-/** A random-but-deterministic resilience layer for one fuzz seed. */
-sched::ResilienceConfig
-fuzzResilience(std::uint64_t seed)
-{
-    std::uint64_t state = seed * 0xBF58476D1CE4E5B9ull + 3;
-    auto draw = [&state] { return sched::splitmix64(state); };
-
-    sched::ResilienceConfig res;
-    res.nodeFailures = true;
-    // Sometimes binding, sometimes generous, sometimes absent.
-    switch (draw() % 3) {
-      case 0: res.deadline = 1500000 + draw() % 1500000; break;
-      case 1: res.deadline = 8000000; break;
-      default: res.deadline = 0; break;
-    }
-    if (draw() & 1)
-        res.queueCapacity = unsigned(draw() % 4); // 0..3, 0 included
-    switch (draw() % 3) {
-      case 0: res.shed = sched::ShedPolicy::RejectNewest; break;
-      case 1: res.shed = sched::ShedPolicy::RejectByClass; break;
-      default: res.shed = sched::ShedPolicy::DeadlineAware; break;
-    }
-    if (draw() & 1) {
-        res.breakerThreshold = 0.5;
-        res.breakerWindow = 2 + unsigned(draw() % 3);
-        res.breakerCooldown = 250000 + draw() % 500000;
-    }
-    res.migrationBudget = 1 + unsigned(draw() % 3);
-    return res;
-}
-
-/** A NodeFailure-only fault config for one fuzz seed. */
-sim::FaultConfig
-fuzzFaults(std::uint64_t seed)
-{
-    std::uint64_t state = seed * 0x94D049BB133111EBull + 5;
-    auto draw = [&state] { return sched::splitmix64(state); };
-
-    sim::FaultConfig fc;
-    fc.seed = seed;
-    fc.rate = (draw() & 1) ? 1.0 : 0.5;
-    fc.kinds = sim::FaultConfig::bitOf(sim::FaultKind::NodeFailure);
-    fc.nodeMeanUpCycles = 1500000 + draw() % 4000000;
-    fc.nodeDownCycles = 500000 + draw() % 1000000;
-    return fc;
-}
-
-TEST_F(StreamFuzz, FiftyResilientSeedsDifferentialAndChecked)
-{
-    // One cache per replay, shared across all seeds: both replays see
-    // the same fetch sequence, so the full reports — cache stats
-    // included — must match byte for byte at every seed.
-    sched::TraceCache cache_plain, cache_checked;
-    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-        SCOPED_TRACE("resilient fuzz seed " + std::to_string(seed));
-        const sched::StreamConfig cfg = fuzzConfig(seed);
-        const sched::ResilienceConfig res = fuzzResilience(seed);
-        const sim::FaultConfig fc = fuzzFaults(seed);
-
-        // Fresh fault plans per replay: windows are a pure function of
-        // the seed, so both plans yield identical outage schedules, and
-        // the per-plan fired-failure log stays per-replay.
-        sim::FaultPlan plain_plan(fc);
-        harness::RunOptions plain_opts;
-        plain_opts.faults = &plain_plan;
-        sched::StreamScheduler plain_sched(*wl_,
-                                           sim::MachineConfig::baseline(),
-                                           cfg, plain_opts, &cache_plain,
-                                           res);
-        const std::string plain_json =
-            toJson(plain_sched.run(), true).dump();
-
-        sim::FaultPlan checked_plan(fc);
-        sim::InvariantChecker checker;
-        harness::RunOptions checked_opts;
-        checked_opts.faults = &checked_plan;
-        checked_opts.checker = &checker;
-        sched::StreamScheduler checked_sched(
-            *wl_, sim::MachineConfig::baseline(), cfg, checked_opts,
-            &cache_checked, res);
-        const sched::StreamResult checked = checked_sched.run();
-
-        ASSERT_EQ(plain_json, toJson(checked, true).dump())
-            << "the checker perturbed the resilient stream";
-        ASSERT_EQ(checker.totalViolations(), 0u)
-            << "invariant violations in the checked replay";
-
-        // Conservation at every seed: each instance resolves exactly once.
-        const sched::ClassSlo &t = checked.resilience.total;
-        ASSERT_EQ(t.submitted, cfg.instances);
-        ASSERT_EQ(t.goodput + t.timeouts + t.shedQueue + t.shedBreaker +
-                      t.shedExpired + t.abandoned,
-                  t.submitted);
     }
 }
 
