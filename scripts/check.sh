@@ -2,7 +2,7 @@
 # Tier-1 check: configure, build, and run the full test suite.
 #
 # Usage: scripts/check.sh [--sanitize=thread|address|undefined] [--chaos]
-#                         [--placement] [--memprof] [--stream]
+#                         [--assert] [--placement] [--memprof] [--stream]
 #                         [--machine] [--verify] [--lint] [build-dir]
 #
 # --sanitize builds into a separate build directory (build-tsan/,
@@ -17,7 +17,12 @@
 # fault-injection, invariant-checker and stream suites, plus the
 # chaos_fault_sweep bench at tiny scale (nonzero fault rates, checker
 # on, exit 1 on any violation) and the placement-policy sweep under the
-# checker.
+# checker, then the --assert leg.
+#
+# --assert builds a Debug tree (build-debug/) and runs the full
+# dss_tests there. Every other build, the sanitizer legs included, is
+# RelWithDebInfo, whose NDEBUG compiles the simulator's asserts out;
+# this is the one leg where they run.
 #
 # --placement runs the NUMA placement checks: the placement unit tests,
 # the 4-policy x Q3/Q6/Q12 sweep under the invariant checker, and
@@ -66,6 +71,7 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 sanitize=""
 chaos=0
+assert=0
 placement=0
 memprof=0
 stream=0
@@ -86,6 +92,9 @@ for arg in "$@"; do
             ;;
         --chaos)
             chaos=1
+            ;;
+        --assert)
+            assert=1
             ;;
         --placement)
             placement=1
@@ -245,6 +254,15 @@ verify_checks() {
     fi
 }
 
+# Assertion checks: a Debug build (asserts compiled in) running every
+# dss_tests test.
+assert_checks() {
+    local dir="$repo/build-debug"
+    cmake -B "$dir" -S "$repo" -DCMAKE_BUILD_TYPE=Debug
+    cmake --build "$dir" -j"$(nproc)" --target dss_tests
+    "$dir/tests/dss_tests"
+}
+
 # Static gates: the determinism lint over the deterministic core always;
 # clang-tidy over src/ with the repo .clang-tidy (warnings are errors)
 # when the binary is installed, driven by the build tree's
@@ -301,7 +319,11 @@ if [[ "$chaos" -eq 1 ]]; then
     # The static gates once (sanitizers do not change source text);
     # the last sanitizer build dir supplies compile_commands.json.
     lint_checks "$dir"
+    assert_checks
     echo "check.sh: chaos gauntlet passed"
+elif [[ "$assert" -eq 1 ]]; then
+    assert_checks
+    echo "check.sh: assertion checks passed"
 elif [[ "$placement" -eq 1 ]]; then
     build="${build:-$repo/build}"
     cmake -B "$build" -S "$repo"

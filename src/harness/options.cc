@@ -280,6 +280,16 @@ std::unique_ptr<sim::PlacementPolicy>
 makePlacement(const BenchOptions &opts, const sim::MachineConfig &cfg,
               const sim::AddressSpace *space)
 {
+    // parse() cannot tell whether the machine has the node: the bench
+    // picks its machine later, and some shrink it below --machine.
+    const std::optional<sim::ProcId> node = opts.placement.node;
+    if (node && *node >= cfg.nprocs) {
+        std::cerr << "--placement " << opts.placement.str()
+                  << " names node " << *node
+                  << ", but the machine's node count is " << cfg.nprocs
+                  << '\n';
+        std::exit(2);
+    }
     const sim::PlacementPolicy::Geometry g{
         cfg.nprocs, cfg.pageBytes, sim::AddressSpace::kPrivateBase,
         sim::AddressSpace::kPrivateStride};

@@ -134,7 +134,9 @@ struct BenchOptions
 /**
  * Build the --placement policy for machine @p cfg. class-affinity needs
  * @p space (the workload's address space) and throws std::runtime_error
- * without it — guardedMain turns that into a clean exit 3.
+ * without it — guardedMain turns that into a clean exit 3. A
+ * class-affinity node @p cfg lacks is a usage error: it prints the
+ * machine's node count and exits(2).
  */
 std::unique_ptr<sim::PlacementPolicy>
 makePlacement(const BenchOptions &opts, const sim::MachineConfig &cfg,

@@ -26,6 +26,9 @@ using Cycles = std::uint64_t;
 /** Processor (node) identifier; the baseline machine has 4. */
 using ProcId = std::uint32_t;
 
+/** Most processors a machine may have: the directory's sharer mask width. */
+constexpr unsigned kMaxProcs = 64;
+
 /**
  * Software data structure classification of a memory reference.
  *

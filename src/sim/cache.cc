@@ -18,7 +18,8 @@ isPow2(std::size_t v)
 
 } // namespace
 
-Cache::Cache(const CacheConfig &cfg) : cfg_(cfg), lineBytes_(cfg.lineBytes)
+Cache::Cache(const CacheConfig &cfg)
+    : cfg_(cfg), lineBytes_(cfg.lineBytes), history_(cfg.lineBytes)
 {
     if (!isPow2(cfg.lineBytes) || !isPow2(cfg.sizeBytes))
         throw std::invalid_argument("cache size/line must be powers of two");
@@ -40,12 +41,10 @@ Cache::isDirty(Addr addr) const
 MissType
 Cache::classifyMiss(Addr addr) const
 {
-    Addr la = lineAddrOf(addr);
-    if (!everLoaded_.count(la))
+    const std::uint8_t *h = history_.find(addr);
+    if (!h)
         return MissType::Cold;
-    if (invalRemoved_.count(la))
-        return MissType::Cohe;
-    return MissType::Conf;
+    return *h == kRemovedByCoherence ? MissType::Cohe : MissType::Conf;
 }
 
 Cache::Victim
@@ -73,8 +72,7 @@ Cache::fill(Addr addr, bool dirty)
     victim->valid = true;
     victim->dirty = dirty;
     victim->lru = ++stamp_;
-    everLoaded_.insert(la);
-    invalRemoved_.erase(la);
+    history_.get(la) = 0;
     return out;
 }
 
@@ -91,7 +89,7 @@ Cache::invalidate(Addr addr, bool coherence, bool *was_dirty)
     ++ctrs_.invalidations;
     if (coherence) {
         ++ctrs_.cohInvalidations;
-        invalRemoved_.insert(lineAddrOf(addr));
+        history_.get(addr) = kRemovedByCoherence;
     }
     return true;
 }
@@ -99,7 +97,8 @@ Cache::invalidate(Addr addr, bool coherence, bool *was_dirty)
 void
 Cache::clearCoherenceMark(Addr addr)
 {
-    invalRemoved_.erase(lineAddrOf(addr));
+    if (std::uint8_t *h = history_.find(addr))
+        *h = 0;
 }
 
 void
@@ -123,8 +122,7 @@ Cache::reset()
 {
     for (Line &l : lines_)
         l = Line{};
-    everLoaded_.clear();
-    invalRemoved_.clear();
+    history_.clear();
     stamp_ = 0;
 }
 

@@ -16,10 +16,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/addr.hh"
+#include "sim/line_table.hh"
 
 namespace dss {
 namespace obs {
@@ -206,8 +206,14 @@ class Cache
     std::size_t numSets_;
     std::uint64_t stamp_ = 0;
     std::vector<Line> lines_; // numSets_ x assoc
-    std::unordered_set<Addr> everLoaded_;
-    std::unordered_set<Addr> invalRemoved_;
+    /**
+     * Miss-classification history: a line is present once it was ever
+     * loaded, and its value is kRemovedByCoherence while its most recent
+     * removal was a coherence invalidation not yet repaid by a fill or
+     * clearCoherenceMark().
+     */
+    LineTable<std::uint8_t> history_;
+    static constexpr std::uint8_t kRemovedByCoherence = 1;
     Counters ctrs_;
 };
 

@@ -11,15 +11,9 @@ namespace sim {
 Directory::Directory(unsigned nnodes, std::size_t line_bytes,
                      const LatencyConfig &lat)
     : nnodes_(nnodes), lineBytes_(line_bytes), lat_(lat),
-      controllerFree_(nnodes, 0), hctrs_(nnodes)
+      entries_(line_bytes), controllerFree_(nnodes, 0), hctrs_(nnodes)
 {
-    assert(nnodes_ > 0 && nnodes_ <= 8);
-}
-
-Directory::Entry &
-Directory::entry(Addr addr)
-{
-    return entries_[lineAddrOf(addr)];
+    assert(nnodes_ > 0 && nnodes_ <= kMaxProcs);
 }
 
 Cycles
@@ -73,23 +67,6 @@ Directory::acquireController(ProcId home, Cycles arrival)
     ++hctrs_[home].requests;
     hctrs_[home].queueCycles += delay;
     return delay;
-}
-
-const Directory::Entry *
-Directory::peek(Addr addr) const
-{
-    auto it = entries_.find(lineAddrOf(addr));
-    return it == entries_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::pair<Addr, Directory::Entry>>
-Directory::sortedEntries() const
-{
-    std::vector<std::pair<Addr, Entry>> out(entries_.begin(),
-                                            entries_.end());
-    std::sort(out.begin(), out.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    return out;
 }
 
 void

@@ -22,11 +22,11 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "sim/addr.hh"
+#include "sim/line_table.hh"
 
 namespace dss {
 namespace obs {
@@ -79,14 +79,18 @@ class Directory
     Directory(unsigned nnodes, std::size_t line_bytes,
               const LatencyConfig &lat);
 
-    /** Directory entry for the line containing @p addr (created lazily). */
-    Entry &entry(Addr addr);
+    /**
+     * Directory entry for the line containing @p addr (created lazily).
+     * The reference stays valid until the next entry() call that creates
+     * an entry (see LineTable::get).
+     */
+    Entry &entry(Addr addr) { return entries_.get(addr); }
 
     /**
      * Read-only lookup that never creates an entry; nullptr when the line
      * has no directory state yet (the invariant checker's view).
      */
-    const Entry *peek(Addr addr) const;
+    const Entry *peek(Addr addr) const { return entries_.find(addr); }
 
     /** Line-aligned address. */
     Addr lineAddrOf(Addr addr) const { return addr & ~(lineBytes_ - 1); }
@@ -168,11 +172,14 @@ class Directory
     std::size_t trackedLines() const { return entries_.size(); }
 
     /**
-     * Deterministic dump of all directory state, sorted by line address
-     * (the backing map is unordered): the checker's sweep order and the
-     * tests' final-state comparisons.
+     * Deterministic dump of all directory state, sorted by line address:
+     * the checker's sweep order and the tests' final-state comparisons.
      */
-    std::vector<std::pair<Addr, Entry>> sortedEntries() const;
+    std::vector<std::pair<Addr, Entry>>
+    sortedEntries() const
+    {
+        return entries_.sorted();
+    }
 
     /** Per-home-controller contention counters (observability). */
     struct HomeCounters
@@ -193,7 +200,7 @@ class Directory
     unsigned nnodes_;
     std::size_t lineBytes_;
     LatencyConfig lat_;
-    std::unordered_map<Addr, Entry> entries_;
+    LineTable<Entry> entries_;
     std::vector<Cycles> controllerFree_; // per home node
     std::vector<HomeCounters> hctrs_;    // per home node
 };

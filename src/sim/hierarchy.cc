@@ -108,7 +108,7 @@ validateLevels(const LevelChain &levels)
 void
 validateMachineConfig(const MachineConfig &cfg)
 {
-    if (cfg.nprocs == 0 || cfg.nprocs > 64)
+    if (cfg.nprocs == 0 || cfg.nprocs > kMaxProcs)
         reject("processor count must be 1..64 (directory sharer mask)",
                "nprocs", cfg.nprocs);
     validateLevels(cfg.levels);

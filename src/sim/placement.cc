@@ -1,7 +1,7 @@
 #include "sim/placement.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <map>
 #include <stdexcept>
 
@@ -45,25 +45,30 @@ PlacementSpec::parse(std::string_view text)
     PlacementSpec spec;
     const std::size_t colon = text.find(':');
     const std::string_view name = text.substr(0, colon);
-    if (colon != std::string_view::npos)
-        spec.arg = std::string(text.substr(colon + 1));
+    const std::string_view arg = colon == std::string_view::npos
+                                     ? std::string_view()
+                                     : text.substr(colon + 1);
 
     if (name == "interleave" || name == "first-touch" ||
         name == "profile") {
         spec.kind = name == "interleave"    ? PlacementKind::Interleave
                     : name == "first-touch" ? PlacementKind::FirstTouch
                                             : PlacementKind::Profile;
-        if (!spec.arg.empty())
+        if (!arg.empty())
             return std::nullopt; // these take no argument
         return spec;
     }
     if (name == "class-affinity") {
         spec.kind = PlacementKind::ClassAffinity;
-        if (!spec.arg.empty()) {
-            char *end = nullptr;
-            unsigned long node = std::strtoul(spec.arg.c_str(), &end, 10);
-            if (!end || *end != '\0' || node >= 8)
+        if (!arg.empty()) {
+            // Digits only, as every count flag: from_chars takes no sign,
+            // space or base prefix and reports overflow.
+            ProcId node = 0;
+            const char *end = arg.data() + arg.size();
+            const auto [ptr, ec] = std::from_chars(arg.data(), end, node);
+            if (ec != std::errc{} || ptr != end || node >= kMaxProcs)
                 return std::nullopt;
+            spec.node = node;
         }
         return spec;
     }
@@ -80,8 +85,8 @@ std::string
 PlacementSpec::str() const
 {
     std::string out = placementKindName(kind);
-    if (!arg.empty())
-        out += ":" + arg;
+    if (node)
+        out += ":" + std::to_string(*node);
     return out;
 }
 
@@ -149,11 +154,7 @@ PlacementPolicy::make(const PlacementSpec &spec, const Geometry &g,
         if (!space)
             throw std::runtime_error(
                 "placement: class-affinity needs an AddressSpace");
-        ProcId node = 0;
-        if (!spec.arg.empty())
-            node = static_cast<ProcId>(
-                std::strtoul(spec.arg.c_str(), nullptr, 10));
-        return classAffinity(g, *space, node);
+        return classAffinity(g, *space, spec.node.value_or(0));
       }
       case PlacementKind::Profile:
         return profile(g);

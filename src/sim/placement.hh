@@ -59,13 +59,15 @@ enum class PlacementKind : std::uint8_t {
 const char *placementKindName(PlacementKind kind);
 
 /**
- * Parsed form of the --placement=<name>[:arg] flag value.
- * Only class-affinity takes an arg: its metadata home node (default 0).
+ * Parsed form of the --placement=<name>[:node] flag value.
+ * Only class-affinity takes an argument: its metadata home node
+ * (default 0), a decimal below kMaxProcs. Whether the machine has that
+ * node is checked once the machine is known (harness::makePlacement).
  */
 struct PlacementSpec
 {
     PlacementKind kind = PlacementKind::Interleave;
-    std::string arg;
+    std::optional<ProcId> node; ///< class-affinity's node, if named
 
     /** Parse a flag value; nullopt on unknown names or malformed args. */
     static std::optional<PlacementSpec> parse(std::string_view text);
@@ -73,7 +75,7 @@ struct PlacementSpec
     /** One-line list of accepted values, for usage messages. */
     static const char *help();
 
-    /** Round-trip back to "<name>[:arg]". */
+    /** Round-trip back to "<name>[:node]". */
     std::string str() const;
 };
 

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "obs/registry.hh"
+#include "sim/error.hh"
 
 namespace dss {
 namespace sim {
@@ -33,8 +34,18 @@ ProcId
 LockTable::release(Addr word, ProcId proc)
 {
     State &s = locks_[word];
-    assert(s.held && s.holderProc == proc && "release by non-holder");
-    (void)proc;
+    if (!s.held || s.holderProc != proc) {
+        obs::Json dump = obs::Json::object();
+        dump["error"] = "release by non-holder";
+        dump["word"] = word;
+        dump["held"] = s.held;
+        if (s.held)
+            dump["holder"] = s.holderProc;
+        dump["releaser"] = proc;
+        throw SimError("metalock released by a processor that does not "
+                       "hold it",
+                       std::move(dump));
+    }
     ++ctrs_.releases;
     if (s.queue.empty()) {
         s.held = false;

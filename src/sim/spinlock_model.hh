@@ -38,8 +38,10 @@ class LockTable
     void addWaiter(Addr word, ProcId proc);
 
     /**
-     * Release the lock at @p word (must be held by @p proc).
+     * Release the lock at @p word, held by @p proc.
      * @return the next waiter granted the lock, or kNoWaiter.
+     * @throws SimError (dump: word, holder, releaser) if @p proc does not
+     *         hold the lock; the trace that asks for it is malformed.
      */
     static constexpr ProcId kNoWaiter = ~0u;
     ProcId release(Addr word, ProcId proc);

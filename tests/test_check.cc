@@ -273,7 +273,8 @@ TEST(CheckerClean, ModelCheckerTracesReplayCleanOnTheRealMachine)
         {verify::EvKind::Load, 0, 0, 0},   // p0 shares line 0
         {verify::EvKind::Store, 1, 0, 0},  // p1 invalidates p0, owns it
         {verify::EvKind::Load, 0, 0, 0},   // p0 re-shares: 3-hop path
-        {verify::EvKind::LockAcq, 1, 2, 0}, // p1 takes the metalock
+        {verify::EvKind::LockAcq, 1, 2, 0}, // p1's test&set ...
+        {verify::EvKind::LockAcq, 1, 2, 0}, // ... and grab: p1 holds it
         {verify::EvKind::LockAcq, 0, 2, 0}, // p0 contends, spins
         {verify::EvKind::LockRel, 1, 2, 0}, // hand-off wakes p0
     };
@@ -293,6 +294,7 @@ TEST(CheckerClean, ModelCheckerTracesReplayCleanOnTheRealMachine)
     // and the contended acquire spun at least once.
     EXPECT_GT(s.procs[0].reads, 0u);
     EXPECT_GT(s.procs[1].writes, 0u);
+    EXPECT_GT(s.procs[0].syncStall, 0u);
 }
 
 } // namespace

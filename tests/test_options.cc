@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/options.hh"
+#include "sim/arena.hh"
 #include "sim/error.hh"
 #include "sim/spec.hh"
 
@@ -184,7 +185,67 @@ TEST(BenchOptions, PlacementFlagsParse)
 {
     BenchOptions o = parseArgs({"--placement", "class-affinity:2"});
     EXPECT_EQ(o.placement.kind, sim::PlacementKind::ClassAffinity);
-    EXPECT_EQ(o.placement.arg, "2");
+    EXPECT_EQ(o.placement.node, 2u);
+}
+
+TEST(BenchOptions, ClassAffinityParsesEveryNodeAMachineMayHave)
+{
+    // Whether this machine has the node is makePlacement's question.
+    for (const char *v : {"0", "7", "8", "12", "63"}) {
+        BenchOptions o =
+            parseArgs({"--placement", std::string("class-affinity:") + v});
+        EXPECT_EQ(o.placement.node, std::stoul(v)) << v;
+        EXPECT_EQ(o.placement.str(), std::string("class-affinity:") + v);
+    }
+    const BenchOptions unnamed = parseArgs({"--placement", "class-affinity"});
+    EXPECT_FALSE(unnamed.placement.node);
+    EXPECT_EQ(unnamed.placement.str(), "class-affinity");
+}
+
+TEST(BenchOptionsDeath, MalformedClassAffinityNodeIsFatal)
+{
+    // The count rules: digits only, below the 64-node limit; no sign,
+    // space, base prefix or overflow.
+    for (const char *v : {"64", "-1", "+2", " 2", "2 ", "0x2", "1e1",
+                          "18446744073709551616"}) {
+        EXPECT_EXIT(parseArgs({"--placement",
+                               std::string("class-affinity:") + v}),
+                    testing::ExitedWithCode(2),
+                    "unknown --placement 'class-affinity:")
+            << v;
+    }
+}
+
+TEST(BenchOptionsDeath, ClassAffinityNodeBeyondTheMachineIsFatal)
+{
+    const sim::MachineConfig baseline =
+        sim::machinePreset("paper1997").config;
+    const sim::MachineConfig scaled64 =
+        sim::machinePreset("scaled64").config;
+    sim::AddressSpace space(64, 64 * 1024, 4 * 1024);
+    const BenchOptions node3 =
+        parseArgs({"--placement", "class-affinity:3"});
+    const BenchOptions node6 =
+        parseArgs({"--placement", "class-affinity:6"});
+    const BenchOptions node12 =
+        parseArgs({"--placement", "class-affinity:12"});
+    EXPECT_TRUE(harness::makePlacement(node3, baseline, &space));
+    EXPECT_TRUE(harness::makePlacement(node12, scaled64, &space));
+    EXPECT_EXIT(harness::makePlacement(node6, baseline, &space),
+                testing::ExitedWithCode(2),
+                "--placement class-affinity:6 names node 6, but the "
+                "machine's node count is 4");
+    // A bench may build a smaller machine than --machine (one-processor
+    // tables, processor-count sweeps): the machine it builds decides.
+    sim::MachineConfig one = baseline;
+    one.nprocs = 1;
+    EXPECT_EXIT(harness::makePlacement(node3, one, &space),
+                testing::ExitedWithCode(2),
+                "--placement class-affinity:3 names node 3, but the "
+                "machine's node count is 1");
+    // Other policies name no node.
+    EXPECT_TRUE(harness::makePlacement(
+        parseArgs({"--placement", "first-touch"}), one, nullptr));
 }
 
 TEST(BenchOptions, PlacementDefaultsToInterleave)

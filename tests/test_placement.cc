@@ -81,11 +81,11 @@ TEST(PlacementSpec, ParsesEveryPolicy)
     auto ca = PlacementSpec::parse("class-affinity");
     ASSERT_TRUE(ca);
     EXPECT_EQ(ca->kind, PlacementKind::ClassAffinity);
-    EXPECT_TRUE(ca->arg.empty());
+    EXPECT_FALSE(ca->node);
 
     auto ca2 = PlacementSpec::parse("class-affinity:2");
     ASSERT_TRUE(ca2);
-    EXPECT_EQ(ca2->arg, "2");
+    EXPECT_EQ(ca2->node, 2u);
     EXPECT_EQ(ca2->str(), "class-affinity:2");
 
     auto pr = PlacementSpec::parse("profile");

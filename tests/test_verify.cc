@@ -241,7 +241,8 @@ TEST(VerifyTraces, CounterexamplePathsEmitPerProcessorTraceStreams)
     const std::vector<Event> path = {
         {EvKind::Load, 0, 0, 0},
         {EvKind::Store, 1, 0, 0},
-        {EvKind::LockAcq, 0, 1, 0},
+        {EvKind::LockAcq, 0, 1, 0}, // test&set ...
+        {EvKind::LockAcq, 0, 1, 0}, // ... and grab: one trace entry
         {EvKind::LockRel, 0, 1, 0},
     };
     std::vector<sim::TraceStream> streams = model.traces(path);
