@@ -1,13 +1,21 @@
 /**
  * @file
- * Figure 10: number of misses on each data-structure group for several
- * cache sizes, from 4 KB L1 / 128 KB L2 (baseline) to 256 KB L1 / 8 MB
- * L2, normalized to the baseline = 100. Line sizes fixed at 32 B / 64 B.
+ * Figures 10 and 11 from one cache-size sweep of Q3, Q6 and Q12, from
+ * 4 KB L1 / 128 KB L2 (baseline) to 256 KB L1 / 8 MB L2, normalized to
+ * the baseline = 100. Line sizes fixed at 32 B / 64 B.
+ *
+ * Figure 10: misses on each data-structure group (Priv, Data, Index,
+ * Metadata), in the primary and the secondary cache.
+ *
+ * Figure 11: execution time broken into Busy / PMem / SMem / MSync.
  *
  * Paper reference shapes: Priv misses in the primary cache collapse as
  * caches grow (private data is reused); the Data curve in the secondary
  * cache is flat (no intra-query temporal locality); Q3's Index and
  * Metadata misses shrink (indices are re-traversed within the query).
+ * Queries speed up with cache size, but most of the gain is PMem; Q3
+ * also gains SMem from index and metadata temporal locality; Q6/Q12
+ * barely gain SMem because database data has no intra-query reuse.
  */
 
 #include <iostream>
@@ -26,6 +34,7 @@ struct SizePoint
     std::size_t l1, l2;
 };
 
+/** The first point is the baseline. */
 constexpr SizePoint kSizes[] = {
     {4 << 10, 128 << 10},
     {16 << 10, 512 << 10},
@@ -55,57 +64,31 @@ run(harness::BenchContext &ctx)
     session.usePlacement(harness::makePlacement(
         opts, ctx.config(), &wl.db().space()));
 
-    for (tpcd::QueryId q : {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
-                            tpcd::QueryId::Q12}) {
+    const tpcd::QueryId queries[] = {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
+                                     tpcd::QueryId::Q12};
+    std::vector<std::vector<harness::SweepPoint>> sweeps;
+    for (tpcd::QueryId q : queries) {
         harness::TraceSet traces = wl.trace(q);
-
-        std::vector<sim::ProcStats> results;
+        std::vector<harness::SweepPoint> &points = sweeps.emplace_back();
         for (const SizePoint &sp : kSizes) {
-            sim::MachineConfig cfg =
-                ctx.config().withCacheSizes(sp.l1,
-                                                              sp.l2);
-            results.push_back(
-                harness::runCold(cfg, traces, session.runOptions())
-                    .aggregate());
+            const std::string label = sizeName(sp.l1) + "/" + sizeName(sp.l2);
+            const sim::SimStats stats =
+                harness::runCold(ctx.config().withCacheSizes(sp.l1, sp.l2),
+                                 traces, session.runOptions());
+            session.addRun(tpcd::queryName(q) + "/" + label, stats);
+            points.push_back({label, stats.aggregate()});
         }
-
-        const double base_l1 = std::max<double>(
-            1.0, static_cast<double>(results[0].l1Misses().total()));
-        const double base_l2 = std::max<double>(
-            1.0, static_cast<double>(results[0].l2Misses().total()));
-
-        auto print_level = [&](const char *name, bool l1, double base) {
-            harness::TextTable tab({"caches", "Priv", "Data", "Index",
-                                    "Metadata", "Total"});
-            for (std::size_t i = 0; i < std::size(kSizes); ++i) {
-                const sim::MissTable &m =
-                    l1 ? results[i].l1Misses() : results[i].l2Misses();
-                auto n = [&](sim::ClassGroup g) {
-                    return harness::fixed(
-                        100.0 * static_cast<double>(m.byGroup(g)) / base,
-                        1);
-                };
-                tab.addRow({sizeName(kSizes[i].l1) + "/" +
-                                sizeName(kSizes[i].l2),
-                            n(sim::ClassGroup::Priv),
-                            n(sim::ClassGroup::Data),
-                            n(sim::ClassGroup::Index),
-                            n(sim::ClassGroup::Metadata),
-                            harness::fixed(
-                                100.0 *
-                                    static_cast<double>(m.total()) / base,
-                                1)});
-            }
-            std::cout << tpcd::queryName(q) << ": " << name
-                      << " misses\n";
-            tab.print(std::cout);
-            std::cout << '\n';
-        };
-        print_level("primary cache", true, base_l1);
-        print_level("secondary cache", false, base_l2);
     }
-    return session.finish(ctx.config(), std::cerr) ? 0
-                                                                     : 1;
+
+    for (std::size_t i = 0; i < sweeps.size(); ++i)
+        harness::printGroupMissSweep(std::cout, tpcd::queryName(queries[i]),
+                                     "caches", sweeps[i], 0);
+    std::cout << "=== Figure 11: execution time vs. cache size (baseline "
+                 "4K/128K = 100) ===\n\n";
+    for (std::size_t i = 0; i < sweeps.size(); ++i)
+        harness::printTimeSweep(std::cout, tpcd::queryName(queries[i]),
+                                "caches", sweeps[i], 0);
+    return session.finish(ctx.config(), std::cerr) ? 0 : 1;
 }
 
 int

@@ -72,7 +72,7 @@ struct BenchOptions
         /**
          * --stream / --stream-seed / --stream-policy.
          * NOT part of kAll: only stream-aware benches opt in (pass
-         * kAll | kStream), so the 20 single-shot binaries keep rejecting
+         * kAll | kStream), so the single-shot binaries keep rejecting
          * the stream flags exactly as before.
          */
         kStream = 1u << 8,

@@ -1,5 +1,6 @@
 #include "harness/report.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <iomanip>
 #include <ostream>
@@ -119,6 +120,66 @@ printMissTable(std::ostream &os, const std::string &title,
                     pct(static_cast<double>(all), total)});
     }
     tab.print(os);
+}
+
+namespace {
+
+/** @p v as a share of @p base, scaled so base = 100 ("87.5"). */
+std::string
+normalized(std::uint64_t v, double base)
+{
+    return fixed(100.0 * static_cast<double>(v) / base, 1);
+}
+
+} // namespace
+
+void
+printGroupMissSweep(std::ostream &os, const std::string &query,
+                    const std::string &point_header,
+                    const std::vector<SweepPoint> &points, std::size_t base)
+{
+    for (std::size_t level = 0; level < 2; ++level) {
+        const double base_misses = std::max<double>(
+            1.0, static_cast<double>(
+                     points[base].stats.levelMisses[level].total()));
+        TextTable tab({point_header, "Priv", "Data", "Index", "Metadata",
+                       "Total"});
+        for (const SweepPoint &pt : points) {
+            const sim::MissTable &m = pt.stats.levelMisses[level];
+            auto n = [&](sim::ClassGroup g) {
+                return normalized(m.byGroup(g), base_misses);
+            };
+            tab.addRow({pt.label, n(sim::ClassGroup::Priv),
+                        n(sim::ClassGroup::Data), n(sim::ClassGroup::Index),
+                        n(sim::ClassGroup::Metadata),
+                        normalized(m.total(), base_misses)});
+        }
+        os << query << ": " << (level == 0 ? "primary" : "secondary")
+           << " cache misses\n";
+        tab.print(os);
+        os << '\n';
+    }
+}
+
+void
+printTimeSweep(std::ostream &os, const std::string &query,
+               const std::string &point_header,
+               const std::vector<SweepPoint> &points, std::size_t base)
+{
+    const double base_cycles =
+        static_cast<double>(points[base].stats.totalCycles());
+    TextTable tab({point_header, "Busy", "PMem", "SMem", "MSync", "Total"});
+    for (const SweepPoint &pt : points) {
+        const sim::ProcStats &s = pt.stats;
+        tab.addRow({pt.label, normalized(s.busy, base_cycles),
+                    normalized(s.pmem(), base_cycles),
+                    normalized(s.smem(), base_cycles),
+                    normalized(s.syncStall, base_cycles),
+                    normalized(s.totalCycles(), base_cycles)});
+    }
+    os << query << '\n';
+    tab.print(os);
+    os << '\n';
 }
 
 } // namespace harness

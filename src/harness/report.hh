@@ -61,6 +61,34 @@ MemBreakdown memBreakdown(const sim::SimStats &stats);
 void printMissTable(std::ostream &os, const std::string &title,
                     const sim::MissTable &t);
 
+/** One point of a cache-geometry sweep: its row label and its run. */
+struct SweepPoint
+{
+    std::string label;
+    sim::ProcStats stats; ///< the run's aggregate
+};
+
+/**
+ * Print @p query's Figure 8/10-style miss tables, primary cache then
+ * secondary: misses by structure group at every sweep point, normalized
+ * so that point @p base's total at that level (at least 1) is 100. Each
+ * table ends with a blank line.
+ */
+void printGroupMissSweep(std::ostream &os, const std::string &query,
+                         const std::string &point_header,
+                         const std::vector<SweepPoint> &points,
+                         std::size_t base);
+
+/**
+ * Print @p query's Figure 9/11-style time table: Busy / PMem / SMem /
+ * MSync at every sweep point, normalized so that point @p base's total
+ * cycles are 100. Ends with a blank line.
+ */
+void printTimeSweep(std::ostream &os, const std::string &query,
+                    const std::string &point_header,
+                    const std::vector<SweepPoint> &points,
+                    std::size_t base);
+
 } // namespace harness
 } // namespace dss
 

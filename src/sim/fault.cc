@@ -44,7 +44,7 @@ unit(std::uint64_t h)
 bool
 FaultPlan::fires(FaultKind k, ProcId p, std::uint64_t pos) const
 {
-    if (cfg_.rate <= 0.0 || !cfg_.enabled(k) || p >= kMaxProcs)
+    if (cfg_.rate <= 0.0 || !cfg_.enabled(k))
         return false;
     const std::uint64_t h =
         mix(cfg_.seed ^ mix(runIndex_ * 0x100000001B3ull ^
@@ -57,7 +57,7 @@ FaultPlan::fires(FaultKind k, ProcId p, std::uint64_t pos) const
 void
 FaultPlan::record(FaultKind k, ProcId p, std::uint64_t pos, Cycles c)
 {
-    perProc_[p].log.push_back({k, p, runIndex_, pos, c});
+    log_.push_back({k, p, runIndex_, pos, c});
 }
 
 Cycles
@@ -111,10 +111,9 @@ FaultPlan::scheduleQuery()
     abortsRemaining_ =
         1 + static_cast<unsigned>(mix(h) % cfg_.maxAbortsPerQuery);
     aborts_ += abortsRemaining_;
-    // Query aborts live outside any processor's trace; log them on the
-    // plan's slot 0 with the query index as the position.
-    perProc_[0].log.push_back(
-        {FaultKind::QueryAbort, 0, runIndex_, q, abortsRemaining_});
+    // Query aborts live outside any processor's trace; log them on
+    // processor 0 with the query index as the position.
+    log_.push_back({FaultKind::QueryAbort, 0, runIndex_, q, abortsRemaining_});
 }
 
 bool
@@ -136,11 +135,10 @@ FaultPlan::recordRetry(Cycles backoff)
 std::vector<FaultPlan::Event>
 FaultPlan::schedule() const
 {
-    std::vector<Event> out;
-    for (const PerProc &pp : perProc_)
-        out.insert(out.end(), pp.log.begin(), pp.log.end());
-    // Processor-major concatenation is already deterministic; sort by
-    // (run, proc, pos, kind) so the order is also canonical.
+    // Events that tie on (run, proc, pos, kind) are equal in every field
+    // (a kind's cycles are fixed; query aborts have distinct positions),
+    // so this order is canonical whatever order the faults fired in.
+    std::vector<Event> out = log_;
     std::sort(out.begin(), out.end(),
               [](const Event &a, const Event &b) {
                   if (a.run != b.run)
@@ -159,12 +157,9 @@ FaultPlan::Counters
 FaultPlan::counters() const
 {
     Counters c;
-    for (const PerProc &pp : perProc_) {
-        for (const Event &e : pp.log) {
-            ++c.byKind[static_cast<std::size_t>(e.kind)];
-            ++c.injected;
-        }
-    }
+    for (const Event &e : log_)
+        ++c.byKind[static_cast<std::size_t>(e.kind)];
+    c.injected = log_.size();
     c.aborts = aborts_;
     c.retries = retries_;
     c.backoffCycles = backoffCycles_;

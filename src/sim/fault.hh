@@ -22,9 +22,9 @@
  * change of timing (placement, latencies) cannot move it. (LockAcq
  * entries re-execute on wake-up and are therefore never fault points.)
  *
- * Each processor logs into its own slot, which keeps schedule()
- * processor-major; aggregation (counters(), schedule(), toJson()) is
- * only valid outside a run.
+ * Every processor can fault. Fired faults land in one log in firing
+ * order; schedule() sorts it into canonical order, and aggregation
+ * (counters(), schedule(), toJson()) is only valid outside a run.
  */
 
 #ifndef DSS_SIM_FAULT_HH
@@ -83,10 +83,6 @@ struct FaultConfig
 class FaultPlan
 {
   public:
-    /** Processors above this count never fault (sharers masks are 8-bit
-     * anyway, so no machine is wider). */
-    static constexpr unsigned kMaxProcs = 8;
-
     explicit FaultPlan(const FaultConfig &cfg) : cfg_(cfg) {}
 
     const FaultConfig &config() const { return cfg_; }
@@ -139,8 +135,8 @@ class FaultPlan
         }
     };
 
-    /** The full fired-fault schedule, processor-major, position order.
-     * Bit-identical across reruns. */
+    /** The full fired-fault schedule in (run, proc, position, kind)
+     * order. Bit-identical across reruns. */
     std::vector<Event> schedule() const;
 
     struct Counters
@@ -164,11 +160,6 @@ class FaultPlan
     bool fires(FaultKind k, ProcId p, std::uint64_t pos) const;
     void record(FaultKind k, ProcId p, std::uint64_t pos, Cycles c);
 
-    struct PerProc
-    {
-        std::vector<Event> log;
-    };
-
     FaultConfig cfg_;
     std::uint64_t runIndex_ = 0;
     std::uint64_t queryIndex_ = 0;
@@ -176,7 +167,7 @@ class FaultPlan
     std::uint64_t aborts_ = 0;
     std::uint64_t retries_ = 0;
     std::uint64_t backoffCycles_ = 0;
-    std::array<PerProc, kMaxProcs> perProc_;
+    std::vector<Event> log_; ///< fired faults, in firing order
 };
 
 } // namespace sim

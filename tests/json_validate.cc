@@ -5,10 +5,11 @@
  * Usage: json_validate [--trace] <file>...
  *
  * Each file must parse with the obs JSON reader. Report files (default)
- * must carry a non-empty "runs" array whose entries contain stats with a
- * breakdown summing to ~100%, or, from the model checker, a "verify"
- * array whose clean searches are exhausted and violation-free. Trace files (--trace) must be Chrome trace
- * -event documents: a "traceEvents" array of "X"/"M" events with ts/dur.
+ * must carry a non-empty "runs" array of uniquely labelled entries whose
+ * stats hold a breakdown summing to ~100%, or, from the model checker, a
+ * "verify" array whose clean searches are exhausted and violation-free.
+ * Trace files (--trace) must be Chrome trace-event documents: a
+ * "traceEvents" array of "X"/"M" events with ts/dur.
  * Exit status 0 when every file is valid; 1 otherwise. Used by the CTest
  * smoke tests that run a real bench binary end to end.
  */
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -78,10 +80,15 @@ validateReport(const std::string &path, const Json &doc)
     }
     if (!runs->isArray() || runs->size() == 0)
         return fail(path, "\"runs\" is not a non-empty array");
+    std::set<std::string> labels;
     for (std::size_t i = 0; i < runs->size(); ++i) {
         const Json &run = runs->at(i);
         if (!run.find("label") || !run.find("stats"))
             return fail(path, "run entry lacks label/stats");
+        // A repeated label means one run was recorded twice.
+        const std::string label = run.find("label")->asString();
+        if (!labels.insert(label).second)
+            return fail(path, "run label \"" + label + "\" repeats");
         const Json *bd = run.find("stats")->find("breakdown");
         if (!bd)
             return fail(path, "run stats lack a breakdown");

@@ -216,6 +216,20 @@ TEST(FaultInjection, ChainedRunsGetDistinctSchedules)
         EXPECT_EQ(e.run, 2u);
 }
 
+TEST(FaultInjection, ProcessorsPastTheEighthFaultToo)
+{
+    // scaled64 has 64 processors; a fault plan covers all of them.
+    FaultConfig fc;
+    fc.rate = 1.0;
+    FaultPlan plan(fc);
+    plan.beginRun();
+    EXPECT_EQ(plan.readDelay(40, 3), fc.spikeCycles);
+    const FaultPlan::Event spike{FaultKind::LatencySpike, 40, 1, 3,
+                                 fc.spikeCycles};
+    EXPECT_EQ(plan.schedule(), std::vector<FaultPlan::Event>{spike});
+    EXPECT_EQ(plan.counters().injected, 1u);
+}
+
 TEST(GracefulFailure, DeadlockThrowsSimErrorWithProcessorDump)
 {
     const MachineConfig cfg = MachineConfig::baseline();

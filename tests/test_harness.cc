@@ -200,6 +200,50 @@ TEST(Report, MissTablePrintsOnlyNonEmptyRows)
     EXPECT_NE(out.find("60.0"), std::string::npos);    // normalized to 100
 }
 
+TEST(Report, SweepTablesNormalizeToTheBasePoint)
+{
+    std::vector<harness::SweepPoint> points(2);
+    points[0].label = "small";
+    points[0].stats.busy = 60;
+    points[0].stats.memStall = 40;
+    points[0].stats.memStallByGroup[static_cast<std::size_t>(
+        sim::ClassGroup::Priv)] = 10;
+    points[0].stats.l2Misses().add(sim::DataClass::Data,
+                                   sim::MissType::Cold, 8);
+    points[1].label = "big";
+    points[1].stats.busy = 60;
+    points[1].stats.memStall = 20;
+    points[1].stats.l2Misses().add(sim::DataClass::Data,
+                                   sim::MissType::Cold, 8);
+    points[1].stats.l2Misses().add(sim::DataClass::Index,
+                                   sim::MissType::Conf, 2);
+
+    std::ostringstream time;
+    harness::printTimeSweep(time, "Q6", "caches", points, 0);
+    // Busy, PMem, SMem, MSync, Total against the first point's 100 cycles.
+    EXPECT_NE(time.str().find("small   60.0  10.0  30.0  0.0    100.0"),
+              std::string::npos)
+        << time.str();
+    EXPECT_NE(time.str().find("big     60.0  0.0   20.0  0.0    80.0"),
+              std::string::npos)
+        << time.str();
+
+    std::ostringstream misses;
+    harness::printGroupMissSweep(misses, "Q6", "caches", points, 1);
+    const std::string out = misses.str();
+    // The primary cache saw no misses: cells stay 0 instead of n/a.
+    EXPECT_EQ(out.find("n/a"), std::string::npos) << out;
+    const std::size_t l2 = out.find("Q6: secondary cache misses");
+    ASSERT_NE(l2, std::string::npos) << out;
+    // Priv, Data, Index, Metadata, Total against the big point's 10.
+    EXPECT_NE(out.find("small   0.0   80.0  0.0    0.0       80.0", l2),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("big     0.0   80.0  20.0   0.0       100.0", l2),
+              std::string::npos)
+        << out;
+}
+
 TEST(Report, TracePtrsViewsAllStreams)
 {
     harness::TraceSet set(3);

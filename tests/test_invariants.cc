@@ -157,6 +157,44 @@ TEST_P(Invariants, ColdMissesIndependentOfCacheSize)
     EXPECT_EQ(cold_of(4 << 10, 128 << 10), cold_of(64 << 10, 2 << 20));
 }
 
+TEST(ColdMissInvariance, L2DataColdMissesIgnoreCacheSizeAndAssociativity)
+{
+    // EXPERIMENTS.md reads Figure 10's flat L2 Data curve and the
+    // associativity ablation's flat L2 Data column as cold misses: first
+    // touches of database lines, which no capacity or way count removes.
+    // Sweep points as in fig10_cache_size_misses and
+    // ablation_associativity.
+    harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
+    const sim::MachineConfig base = sim::MachineConfig::baseline();
+    std::vector<sim::MachineConfig> points;
+    for (auto [l1, l2] : {std::pair{4 << 10, 128 << 10},
+                          std::pair{16 << 10, 512 << 10},
+                          std::pair{64 << 10, 2 << 20},
+                          std::pair{256 << 10, 8 << 20}})
+        points.push_back(base.withCacheSizes(l1, l2));
+    for (auto [l1, l2] : {std::pair{1, 2}, std::pair{2, 2},
+                          std::pair{4, 4}, std::pair{8, 8}}) {
+        sim::MachineConfig cfg = base;
+        cfg.l1().assoc = l1;
+        cfg.l2().assoc = l2;
+        points.push_back(cfg);
+    }
+    for (tpcd::QueryId q :
+         {tpcd::QueryId::Q3, tpcd::QueryId::Q6, tpcd::QueryId::Q12}) {
+        harness::TraceSet traces = wl.trace(q);
+        std::vector<std::uint64_t> cold;
+        for (const sim::MachineConfig &cfg : points)
+            cold.push_back(harness::runCold(cfg, traces)
+                               .aggregate()
+                               .l2Misses()
+                               .byGroupAndType(sim::ClassGroup::Data,
+                                               sim::MissType::Cold));
+        EXPECT_GT(cold[0], 0u) << tpcd::queryName(q);
+        EXPECT_EQ(cold, std::vector<std::uint64_t>(points.size(), cold[0]))
+            << tpcd::queryName(q);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Queries, Invariants,
                          ::testing::Values(tpcd::QueryId::Q3,
                                            tpcd::QueryId::Q6,
