@@ -5,9 +5,8 @@
  * invariant checker always on.
  *
  * The claim being exercised: perturbing *timing* (latency spikes, forced
- * evictions, write-buffer stall storms, stretched lock hold times) and
- * *control flow* (injected query aborts, retried with backoff) must never
- * perturb *correctness* — the protocol invariants (SWMR,
+ * evictions, write-buffer stall storms, stretched lock hold times) must
+ * never perturb *correctness* — the protocol invariants (SWMR,
  * directory/cache agreement, write-buffer FIFO order, lock-table
  * consistency) hold at every checked state, at every fault rate. Any
  * violation makes the bench exit nonzero.
@@ -53,8 +52,8 @@ run(harness::BenchContext &ctx)
     const tpcd::QueryId queries[] = {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
                                      tpcd::QueryId::Q12};
 
-    harness::TextTable tab({"query", "fault rate", "faults", "retries",
-                            "exec cycles", "delta%", "violations"});
+    harness::TextTable tab({"query", "fault rate", "faults", "exec cycles",
+                            "delta%", "violations"});
     std::uint64_t total_violations = 0;
 
     for (tpcd::QueryId q : queries) {
@@ -84,12 +83,10 @@ run(harness::BenchContext &ctx)
                                       base_cycles
                                 : 0.0;
 
-            const sim::FaultPlan::Counters c = plan.counters();
             const std::uint64_t viol = checker.totalViolations();
             total_violations += viol;
             tab.addRow({tpcd::queryName(q), harness::fixed(rate, 4),
-                        std::to_string(c.injected),
-                        std::to_string(c.retries),
+                        std::to_string(plan.counters().injected),
                         std::to_string(static_cast<std::uint64_t>(cycles)),
                         harness::fixed(delta, 2), std::to_string(viol)});
             for (const sim::CheckViolation &v : checker.violations())

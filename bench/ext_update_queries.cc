@@ -40,7 +40,8 @@ traceUpdate(tpcd::TpcdDb &db, bool uf1, unsigned orders, std::uint64_t seed)
             tpcd::runUF2(db, ctx, orders);
     } catch (const db::QueryAbort &) {
         // Abort cleanly: drop every lock this xid still holds and free
-        // its private allocations, so the retry starts from scratch.
+        // its private allocations, so a second capture starts from
+        // scratch.
         db.lockmgr().releaseAll(mem, xid);
         priv.rewind(mark);
         throw;
@@ -70,34 +71,30 @@ run(harness::BenchContext &ctx)
     session.wireMemprof(cfg, &db.catalog());
 
     // A rival transaction holds the orders relation write-locked, so the
-    // first UF1 attempt hits a Write/Write conflict and aborts. The
-    // harness retry layer backs off and re-runs; the rival commits in the
-    // meantime (released below on the retry), so the query survives the
-    // contended schedule instead of crashing — the robustness story for
-    // the workloads the paper excluded.
+    // first UF1 capture hits a Write/Write conflict and aborts. The rival
+    // then commits and UF1 is captured again, so the function survives
+    // the contended schedule instead of crashing — the robustness story
+    // for the workloads the paper excluded. The conflict happens during
+    // capture, before any simulated run.
     constexpr db::Xid kRivalXid = 6999;
     sim::TraceStream rival_trace;
     db::TracedMemory rival_mem(db.space(), 0, rival_trace);
     db.lockmgr().lockRelation(rival_mem, kRivalXid, db.orders,
                               db::LockMode::Write);
-    bool rival_holds = true;
 
-    unsigned attempts = 0;
+    unsigned aborts = 0;
 
     harness::TextTable tab({"function", "orders", "exec cycles", "Busy%",
                             "Mem%", "writes/reads"});
     for (bool uf1 : {true, false}) {
-        sim::TraceStream trace = harness::retryOnAbort(
-            harness::RetryPolicy{},
-            [&]() -> sim::TraceStream {
-                if (attempts++ > 0 && rival_holds) {
-                    // The rival commits while we are backing off.
-                    db.lockmgr().releaseAll(rival_mem, kRivalXid);
-                    rival_holds = false;
-                }
-                return traceUpdate(db, uf1, batch, 17);
-            },
-            nullptr, &std::cerr);
+        sim::TraceStream trace;
+        try {
+            trace = traceUpdate(db, uf1, batch, 17);
+        } catch (const db::QueryAbort &) {
+            ++aborts;
+            db.lockmgr().releaseAll(rival_mem, kRivalXid); // rival commits
+            trace = traceUpdate(db, uf1, batch, 17);
+        }
         harness::TraceSet set;
         set.push_back(std::move(trace));
         sim::SimStats stats =
@@ -124,11 +121,10 @@ run(harness::BenchContext &ctx)
     }
     tab.print(std::cout);
 
-    std::cout << "\nLock conflicts: " << attempts
-              << " attempts across both functions, "
-              << (attempts > 2 ? attempts - 2 : 0)
-              << " Write/Write abort(s) retried with backoff until the "
-                 "rival transaction committed.\n";
+    std::cout << "\nLock conflicts: " << aborts
+              << " Write/Write abort(s) across both functions; each "
+                 "aborted function was captured again once the rival "
+                 "transaction committed.\n";
 
     std::cout
         << "\nContext: the read-only queries write almost nothing "

@@ -78,10 +78,15 @@ BENCHMARK(BM_DirectoryTransaction);
 void
 BM_HomeOfTable(benchmark::State &state)
 {
-    auto policy = PlacementPolicy::interleave(
+    auto policy = PlacementPolicy::firstTouch(
         {4, 8192, AddressSpace::kPrivateBase, AddressSpace::kPrivateStride});
-    // Cover the whole touched range so every lookup hits the table.
-    policy->pinPage(0x1000'0000 + (64 * 1024 * 1024 - 1), 0);
+    // Cover the whole touched range so every lookup hits the table: a
+    // first-touch run over one reference at the range's last page grows
+    // the table through it.
+    TraceStream last;
+    last.record(TraceEntry::read(0x1000'0000 + (64 * 1024 * 1024 - 1),
+                                 DataClass::Data, 1));
+    policy->beginRun({&last});
     Addr a = 0x1000'0000;
     for (auto _ : state) {
         benchmark::DoNotOptimize(policy->homeOf(a));

@@ -9,8 +9,9 @@
  *     count. Reports makespan, completed queries per million simulated
  *     cycles, and the p50/p95/p99 latency tail per point.
  *  2. Open-loop sweep: exponential arrivals at decreasing mean
- *     inter-arrival gaps (rising offered load) on the 4-processor
- *     baseline — the p95-vs-load curve of EXPERIMENTS.md.
+ *     inter-arrival gaps (rising offered load) on the --machine's own
+ *     processors (4 on the default baseline) — the p95-vs-load curve of
+ *     EXPERIMENTS.md.
  *
  * Every point draws its traces from one shared trace cache; its hit and
  * miss counts are printed per point.
@@ -19,6 +20,7 @@
  * --stream-policy <fifo|shortest>.
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "harness/bench_main.hh"
@@ -62,7 +64,13 @@ run(harness::BenchContext &ctx)
               << " instances, seed " << opts.streamSeed << ", "
               << opts.streamPolicy << ") ===\n\n";
 
-    harness::Workload wl(opts.scaleConfig(), 4);
+    // Every processor a point runs on needs a private heap: the
+    // closed-loop sweep uses up to 4, the open-loop points all of the
+    // machine's.
+    harness::Workload wl(opts.scaleConfig(),
+                         std::max(4u, ctx.config().nprocs));
+    session.usePlacement(
+        harness::makePlacement(opts, ctx.config(), &wl.db().space()));
     session.wireMemprof(ctx.config(),
                         &wl.db().catalog());
 
@@ -132,7 +140,8 @@ run(harness::BenchContext &ctx)
         }
     }
 
-    std::cout << "\nOpen-loop sweep: offered load on the 4-proc baseline\n";
+    std::cout << "\nOpen-loop sweep: offered load on the "
+              << ctx.config().nprocs << "-proc baseline\n";
     const sim::Cycles gap_sweep[] = {2000000, 1000000, 500000, 250000};
     for (sim::Cycles gap : gap_sweep) {
         sched::StreamConfig scfg = base;

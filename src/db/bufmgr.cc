@@ -101,7 +101,6 @@ BufferManager::allocBlock(TracedMemory &setup, RelId rel, BlockNo blk,
     setup.store<std::int32_t>(hashAddr(slot) + kHashBlk, blk);
     setup.store<std::int32_t>(hashAddr(slot) + kHashDesc,
                               static_cast<std::int32_t>(idx));
-    hints_.push_back({page, cls, kNoHomeHint});
     blocks_.push_back({page, rel, blk, cls});
     return page;
 }
@@ -130,18 +129,6 @@ BufferManager::describeRegions(
         map.add(b.page, kPageBytes,
                 rel_name(b.rel) + " heap blk " + std::to_string(b.blk));
     }
-}
-
-void
-BufferManager::hintHome(sim::Addr page, sim::ProcId home)
-{
-    for (PlacementHint &h : hints_) {
-        if (h.page == page) {
-            h.home = home;
-            return;
-        }
-    }
-    throw std::runtime_error("BufferManager: home hint for unknown block");
 }
 
 sim::Addr

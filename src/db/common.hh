@@ -38,10 +38,12 @@ struct Tid
 };
 
 /**
- * A query-level abort: the transaction cannot proceed (lock conflict, or
- * an injected fault) and must release its grants and retry. This is the
- * *recoverable* failure class — the harness retry path (harness/guard.hh)
- * catches it, backs off, and re-runs the query; it never crashes a bench.
+ * A query-level abort: the transaction's relation lock conflicts with
+ * another transaction's, and it must release its grants. The read-only
+ * queries never conflict (read locks share); only update functions that
+ * meet a rival writer abort. A bench that stages such a conflict catches
+ * it and captures again; one that escapes to harness::guardedMain is
+ * reported there as an error (exit 3), never a crash.
  */
 class QueryAbort : public std::runtime_error
 {
@@ -49,7 +51,6 @@ class QueryAbort : public std::runtime_error
     enum class Reason {
         WriteConflict,     ///< Write lock vs. existing readers/writers
         ReadWriteConflict, ///< Read lock vs. an existing writer
-        Injected,          ///< scheduled by a sim::FaultPlan
     };
 
     QueryAbort(Reason reason, Xid xid, RelId rel, const std::string &what)

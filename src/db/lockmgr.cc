@@ -99,7 +99,7 @@ LockManager::lockRelation(TracedMemory &mem, Xid xid, RelId rel,
         auto writers = mem.load<std::int32_t>(lockEntry(ls) + kLockWriters);
         if (writers != 0) {
             // No lock waiting in the simulated DBMS: conflicts abort the
-            // query, and the harness retries it with backoff.
+            // query (see db::QueryAbort).
             mem.lockRelease(lock_);
             throw QueryAbort(QueryAbort::Reason::ReadWriteConflict, xid,
                              rel,

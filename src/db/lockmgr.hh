@@ -48,9 +48,8 @@ class LockManager
      * holder count, record the grant in the xid hash, release.
      *
      * @return true (read locks never conflict; a Write/Write or
-     *         Read/Write conflict throws QueryAbort, which the harness
-     *         retry layer catches and re-runs with backoff — see
-     *         harness::retryOnAbort).
+     *         Read/Write conflict throws QueryAbort, which the caller
+     *         handles by releasing its grants — see db::QueryAbort).
      */
     bool lockRelation(TracedMemory &mem, Xid xid, RelId rel, LockMode mode);
 

@@ -2,42 +2,12 @@
 
 #include <iostream>
 
+#include "db/common.hh"
 #include "obs/json.hh"
-#include "obs/registry.hh"
 #include "sim/error.hh"
 
 namespace dss {
 namespace harness {
-
-void
-RetryStats::registerStats(obs::Registry &reg,
-                          const std::string &prefix) const
-{
-    reg.addCounter(obs::metricName(prefix, "attempts"),
-                   [this] { return attempts; });
-    reg.addCounter(obs::metricName(prefix, "aborts"),
-                   [this] { return aborts; });
-}
-
-sim::Cycles
-backoffFor(const RetryPolicy &policy, unsigned attempt)
-{
-    sim::Cycles backoff = policy.baseBackoffCycles;
-    for (unsigned i = 0; i < attempt && backoff < policy.maxBackoffCycles;
-         ++i)
-        backoff *= 2;
-    return std::min(backoff, policy.maxBackoffCycles);
-}
-
-void
-noteRetry(std::ostream *log, const db::QueryAbort &qa, unsigned attempt,
-          sim::Cycles backoff)
-{
-    if (!log)
-        return;
-    *log << "query abort (" << qa.what() << "); retry " << (attempt + 1)
-         << " after " << backoff << " simulated backoff cycles\n";
-}
 
 namespace {
 
@@ -49,8 +19,6 @@ abortReasonName(db::QueryAbort::Reason r)
         return "write_conflict";
       case db::QueryAbort::Reason::ReadWriteConflict:
         return "read_write_conflict";
-      case db::QueryAbort::Reason::Injected:
-        return "injected";
     }
     return "?";
 }

@@ -333,8 +333,6 @@ ObsSession::runOptions()
     ro.faults = faults_.get();
     ro.placement = placement_.get();
     ro.memProfile = memProfile_.get();
-    ro.log = &std::cerr;
-    ro.retryStats = &retryStats_;
     return ro;
 }
 
@@ -408,10 +406,8 @@ ObsSession::finish(const sim::MachineConfig &cfg, std::ostream &err)
         }
     }
     if (faults_) {
-        const sim::FaultPlan::Counters c = faults_->counters();
-        err << bench_ << ": injected " << c.injected << " fault(s), "
-            << c.aborts << " query abort(s), " << c.retries
-            << " retry attempt(s)\n";
+        err << bench_ << ": injected " << faults_->counters().injected
+            << " fault(s)\n";
     }
     if (memProfile_) {
         err << bench_ << ": memory profiler tracked "

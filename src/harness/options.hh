@@ -163,10 +163,6 @@ class ObsSession
     /** Line-level memory profile; null unless wireMemprof() armed it. */
     obs::MemProfile *memProfile() { return memProfile_.get(); }
 
-    /** Retry/abort accounting shared by every runOptions() of this
-     * session; snapshotted as harness.retry.{attempts,aborts}. */
-    RetryStats &retryStats() { return retryStats_; }
-
     /**
      * Arm the --memprof profile for machine geometry @p cfg and,
      * when @p catalog is given, load the structure symbol map from it.
@@ -199,8 +195,8 @@ class ObsSession
 
     /**
      * Everything wired up for one runCold/runSequence call: sampler,
-     * timeline, a fresh registry slot (when --json), the checker and
-     * fault plan, and retry notes on stderr.
+     * timeline, a fresh registry slot (when --json), the checker, fault
+     * plan, placement policy and memory profile.
      */
     RunOptions runOptions();
 
@@ -240,7 +236,6 @@ class ObsSession
     std::unique_ptr<sim::FaultPlan> faults_;
     std::unique_ptr<obs::MemProfile> memProfile_;
     obs::RegionMap symbols_;
-    RetryStats retryStats_;
     std::unique_ptr<sim::PlacementPolicy> placement_;
     obs::Json pendingRegistry_;
     obs::Json runs_;

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "obs/registry.hh"
-
 namespace dss {
 namespace obs {
 
@@ -14,17 +12,6 @@ Sampler::Sampler(sim::Cycles epoch_cycles) : epochCycles_(epoch_cycles)
 }
 
 void
-Sampler::attachRegistry(const Registry *reg)
-{
-    registry_ = reg;
-    lastCounters_.clear();
-    if (registry_) {
-        for (const std::string &name : registry_->counterNames())
-            lastCounters_[name] = registry_->counterValue(name);
-    }
-}
-
-void
 Sampler::beginRun(std::size_t nprocs)
 {
     run_ = inRun_ ? run_ + 1 : run_;
@@ -32,11 +19,6 @@ Sampler::beginRun(std::size_t nprocs)
     epochStart_ = 0;
     nextBoundary_ = epochCycles_;
     last_.assign(nprocs, sim::ProcStats{});
-    if (registry_) {
-        lastCounters_.clear();
-        for (const std::string &name : registry_->counterNames())
-            lastCounters_[name] = registry_->counterValue(name);
-    }
 }
 
 void
@@ -52,24 +34,6 @@ Sampler::emit(sim::Cycles end, const std::vector<sim::ProcStats> &cumulative)
         if (p < last_.size())
             d -= last_[p];
         s.procs.push_back(std::move(d));
-    }
-    if (registry_) {
-        // Re-enumerate the counter set every epoch: the registry may have
-        // grown since the last tick, and a baseline keyed by name (rather
-        // than a vector frozen at the first tick) reconciles any counter
-        // registered mid-epoch against zero instead of dropping it.
-        std::map<std::string, std::uint64_t> now;
-        for (const std::string &name : registry_->counterNames())
-            now[name] = registry_->counterValue(name);
-        s.registrySize = registry_->size();
-        for (const auto &[name, cur] : now) {
-            auto it = lastCounters_.find(name);
-            const std::uint64_t base =
-                it != lastCounters_.end() ? it->second : 0;
-            if (cur != base)
-                s.counters.emplace_back(name, cur - base);
-        }
-        lastCounters_ = std::move(now);
     }
     samples_.push_back(std::move(s));
     last_ = cumulative;
@@ -109,20 +73,6 @@ Sampler::runTotal(unsigned run, std::size_t p) const
     return out;
 }
 
-std::uint64_t
-Sampler::counterTotal(unsigned run, const std::string &name) const
-{
-    std::uint64_t out = 0;
-    for (const EpochSample &s : samples_) {
-        if (s.run != run)
-            continue;
-        for (const auto &[n, d] : s.counters)
-            if (n == name)
-                out += d;
-    }
-    return out;
-}
-
 Json
 Sampler::toJson() const
 {
@@ -157,16 +107,6 @@ Sampler::toJson() const
             procs.push(std::move(jp));
         }
         js["procs"] = std::move(procs);
-        // Registry sampling is opt-in (attachRegistry): these members
-        // only appear then, so the default epochs block — pinned by the
-        // golden fixtures — is byte-identical without it.
-        if (s.registrySize) {
-            js["registrySize"] = s.registrySize;
-            Json ctrs = Json::object();
-            for (const auto &[name, d] : s.counters)
-                ctrs[name] = d;
-            js["counters"] = std::move(ctrs);
-        }
         arr.push(std::move(js));
     }
     series["samples"] = std::move(arr);

@@ -83,7 +83,8 @@ StreamScheduler::runInstance(const QueryInstance &inst, sim::ProcId proc,
     static const sim::TraceStream kEmpty;
     std::vector<const sim::TraceStream *> ptrs(proc + 1, &kEmpty);
     ptrs[proc] = &stream;
-    rec.stats = harness::runOnMachine(machine_, ptrs, opts_);
+    machine_.resetStats();
+    rec.stats = machine_.run(ptrs, opts_.sampler, opts_.timeline);
 
     rec.service = rec.stats.executionTime();
     rec.complete = start + rec.service;
@@ -217,8 +218,8 @@ StreamScheduler::run()
     result.cache = cache_->stats();
 
     // End-of-stream registry snapshot: machine counters plus the stream
-    // layer's own (runOnMachine never snapshots; runCold's equivalent
-    // happens here so the JSON report sees the whole warm stream).
+    // layer's own (runSequence's equivalent happens here so the JSON
+    // report sees the whole warm stream).
     if (opts_.registrySnapshot) {
         obs::Registry reg;
         machine_.registerStats(reg);
@@ -227,8 +228,6 @@ StreamScheduler::run()
         if (opts_.faults)
             opts_.faults->registerStats(reg, "fault");
         cache_->registerStats(reg, "cache");
-        if (opts_.retryStats)
-            opts_.retryStats->registerStats(reg, "harness.retry");
         registerStats(reg, "sched");
         *opts_.registrySnapshot = reg.toJson();
     }

@@ -9,9 +9,10 @@
  * tests/test_stream_fuzz.cc):
  *
  *  1. Each instance runs *solo* — one trace on its assigned processor
- *     slot of the shared machine, via harness::runOnMachine. A solo run
- *     is a pure function of the trace and the machine state it starts
- *     from (a single pipeline leaves no cross-processor interleaving).
+ *     slot of the shared machine (Machine::resetStats, then
+ *     Machine::run). A solo run is a pure function of the trace and the
+ *     machine state it starts from (a single pipeline leaves no
+ *     cross-processor interleaving).
  *  2. Trace capture is pure: Workload::streamTrace yields byte-identical
  *     streams for equal (query, params, proc), so the TraceCache's hit
  *     path replays exactly the miss path's bytes.
@@ -92,9 +93,9 @@ obs::Json toJson(const StreamResult &r, bool include_run_stats = true);
 /**
  * Runs one stream on one warm machine. The scheduler owns the Machine
  * (built from @p machine_cfg) and wires it from @p base_opts exactly
- * like harness::runCold would (checker, fault plan, placement, sharing
- * tracker); the per-run pieces of @p base_opts (sampler, timeline,
- * profilers, retry policy) pass through to every instance run.
+ * like harness::runCold would (checker, fault plan, placement, memory
+ * profile); the per-run observers of @p base_opts (sampler, timeline)
+ * pass through to every instance run.
  *
  * Every instance's trace comes through @p cache, which must not be null
  * and may be shared across schedulers — entries are keyed on capture

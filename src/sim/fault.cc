@@ -15,7 +15,6 @@ faultKindName(FaultKind k)
       case FaultKind::Eviction: return "eviction";
       case FaultKind::WbStall: return "wb_stall";
       case FaultKind::LockPreempt: return "lock_preempt";
-      case FaultKind::QueryAbort: return "query_abort";
     }
     return "?";
 }
@@ -44,7 +43,7 @@ unit(std::uint64_t h)
 bool
 FaultPlan::fires(FaultKind k, ProcId p, std::uint64_t pos) const
 {
-    if (cfg_.rate <= 0.0 || !cfg_.enabled(k))
+    if (cfg_.rate <= 0.0)
         return false;
     const std::uint64_t h =
         mix(cfg_.seed ^ mix(runIndex_ * 0x100000001B3ull ^
@@ -65,8 +64,8 @@ FaultPlan::readDelay(ProcId p, std::uint64_t pos)
 {
     if (!fires(FaultKind::LatencySpike, p, pos))
         return 0;
-    record(FaultKind::LatencySpike, p, pos, cfg_.spikeCycles);
-    return cfg_.spikeCycles;
+    record(FaultKind::LatencySpike, p, pos, kSpikeCycles);
+    return kSpikeCycles;
 }
 
 bool
@@ -83,8 +82,8 @@ FaultPlan::wbStall(ProcId p, std::uint64_t pos)
 {
     if (!fires(FaultKind::WbStall, p, pos))
         return 0;
-    record(FaultKind::WbStall, p, pos, cfg_.wbStallCycles);
-    return cfg_.wbStallCycles;
+    record(FaultKind::WbStall, p, pos, kWbStallCycles);
+    return kWbStallCycles;
 }
 
 Cycles
@@ -92,52 +91,16 @@ FaultPlan::holdStretch(ProcId p, std::uint64_t pos)
 {
     if (!fires(FaultKind::LockPreempt, p, pos))
         return 0;
-    record(FaultKind::LockPreempt, p, pos, cfg_.preemptCycles);
-    return cfg_.preemptCycles;
-}
-
-void
-FaultPlan::scheduleQuery()
-{
-    const std::uint64_t q = queryIndex_++;
-    abortsRemaining_ = 0;
-    if (cfg_.rate <= 0.0 || !cfg_.enabled(FaultKind::QueryAbort) ||
-        cfg_.maxAbortsPerQuery == 0)
-        return;
-    const std::uint64_t h =
-        mix(cfg_.seed ^ mix(0xABBAull ^ (q << 8)));
-    if (unit(h) >= cfg_.rate)
-        return;
-    abortsRemaining_ =
-        1 + static_cast<unsigned>(mix(h) % cfg_.maxAbortsPerQuery);
-    aborts_ += abortsRemaining_;
-    // Query aborts live outside any processor's trace; log them on
-    // processor 0 with the query index as the position.
-    log_.push_back({FaultKind::QueryAbort, 0, runIndex_, q, abortsRemaining_});
-}
-
-bool
-FaultPlan::abortScheduled()
-{
-    if (abortsRemaining_ == 0)
-        return false;
-    --abortsRemaining_;
-    return true;
-}
-
-void
-FaultPlan::recordRetry(Cycles backoff)
-{
-    ++retries_;
-    backoffCycles_ += backoff;
+    record(FaultKind::LockPreempt, p, pos, kPreemptCycles);
+    return kPreemptCycles;
 }
 
 std::vector<FaultPlan::Event>
 FaultPlan::schedule() const
 {
     // Events that tie on (run, proc, pos, kind) are equal in every field
-    // (a kind's cycles are fixed; query aborts have distinct positions),
-    // so this order is canonical whatever order the faults fired in.
+    // (a kind's cycles are fixed), so this order is canonical whatever
+    // order the faults fired in.
     std::vector<Event> out = log_;
     std::sort(out.begin(), out.end(),
               [](const Event &a, const Event &b) {
@@ -160,9 +123,6 @@ FaultPlan::counters() const
     for (const Event &e : log_)
         ++c.byKind[static_cast<std::size_t>(e.kind)];
     c.injected = log_.size();
-    c.aborts = aborts_;
-    c.retries = retries_;
-    c.backoffCycles = backoffCycles_;
     return c;
 }
 
@@ -179,12 +139,6 @@ FaultPlan::registerStats(obs::Registry &reg,
     }
     reg.addCounter(obs::metricName(prefix, "injected.total"),
                    [this] { return counters().injected; });
-    reg.addCounter(obs::metricName(prefix, "aborts"),
-                   [this] { return aborts_; });
-    reg.addCounter(obs::metricName(prefix, "retries"),
-                   [this] { return retries_; });
-    reg.addCounter(obs::metricName(prefix, "backoff_cycles"),
-                   [this] { return backoffCycles_; });
 }
 
 obs::Json
@@ -200,9 +154,6 @@ FaultPlan::toJson() const
             c.byKind[k];
     inj["total"] = c.injected;
     j["injected"] = std::move(inj);
-    j["aborts"] = c.aborts;
-    j["retries"] = c.retries;
-    j["backoff_cycles"] = c.backoffCycles;
     return j;
 }
 

@@ -11,8 +11,6 @@
  *  - LockPreempt:   the holder of a metalock is "preempted" right before
  *                   its release, stretching the hold time (the classic
  *                   spinlock pathology the paper's MSync time measures)
- *  - QueryAbort:    a DB-level abort of a whole query at trace-generation
- *                   time, retried by the harness with bounded backoff
  *
  * Determinism contract: every decision is a pure function of
  * (seed, run index, processor, per-processor trace position, fault kind)
@@ -50,34 +48,20 @@ enum class FaultKind : std::uint8_t {
     Eviction,
     WbStall,
     LockPreempt,
-    QueryAbort,
 };
-constexpr std::size_t kNumFaultKinds = 5;
+constexpr std::size_t kNumFaultKinds = 4;
 
 std::string_view faultKindName(FaultKind k);
+
+constexpr Cycles kSpikeCycles = 200;   ///< extra read latency per LatencySpike
+constexpr Cycles kWbStallCycles = 64;  ///< stall charged per WbStall
+constexpr Cycles kPreemptCycles = 500; ///< hold stretch per LockPreempt
 
 struct FaultConfig
 {
     std::uint64_t seed = 0;
-    /** Per-opportunity probability of each enabled kind, in [0, 1]. */
+    /** Per-opportunity probability of each kind, in [0, 1]. */
     double rate = 0.0;
-
-    static constexpr unsigned bitOf(FaultKind k)
-    {
-        return 1u << static_cast<unsigned>(k);
-    }
-    static constexpr unsigned kAllKinds = (1u << kNumFaultKinds) - 1;
-    /** Which kinds may fire (bitOf() mask). */
-    unsigned kinds = kAllKinds;
-
-    Cycles spikeCycles = 200;    ///< extra read latency per LatencySpike
-    Cycles wbStallCycles = 64;   ///< stall charged per WbStall
-    Cycles preemptCycles = 500;  ///< hold stretch per LockPreempt
-    /** Injected aborts per aborting query; must stay below the harness
-     * retry budget so every aborted query eventually succeeds. */
-    unsigned maxAbortsPerQuery = 3;
-
-    bool enabled(FaultKind k) const { return (kinds & bitOf(k)) != 0; }
 };
 
 class FaultPlan
@@ -105,19 +89,6 @@ class FaultPlan
     /** Hold-time stretch applied before the release at @p pos. */
     Cycles holdStretch(ProcId p, std::uint64_t pos);
 
-    /**
-     * Schedule the next query: decides how many injected aborts (0 when
-     * the QueryAbort kind does not fire) the query suffers before it is
-     * allowed to complete. Called once per runCold/runSequence run.
-     */
-    void scheduleQuery();
-
-    /** Consume one scheduled abort; false once the query may complete. */
-    bool abortScheduled();
-
-    /** Retry bookkeeping from the harness backoff path. */
-    void recordRetry(Cycles backoff);
-
     // ----- aggregation (outside a run only) -----
 
     struct Event
@@ -142,10 +113,7 @@ class FaultPlan
     struct Counters
     {
         std::array<std::uint64_t, kNumFaultKinds> byKind{};
-        std::uint64_t injected = 0;      ///< total fired faults
-        std::uint64_t aborts = 0;        ///< injected query aborts
-        std::uint64_t retries = 0;       ///< harness retry attempts
-        std::uint64_t backoffCycles = 0; ///< simulated backoff charged
+        std::uint64_t injected = 0; ///< total fired faults
     };
 
     Counters counters() const;
@@ -162,11 +130,6 @@ class FaultPlan
 
     FaultConfig cfg_;
     std::uint64_t runIndex_ = 0;
-    std::uint64_t queryIndex_ = 0;
-    unsigned abortsRemaining_ = 0;
-    std::uint64_t aborts_ = 0;
-    std::uint64_t retries_ = 0;
-    std::uint64_t backoffCycles_ = 0;
     std::vector<Event> log_; ///< fired faults, in firing order
 };
 

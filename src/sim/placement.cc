@@ -208,25 +208,11 @@ PlacementPolicy::ensureCovered(std::size_t page_idx)
 }
 
 void
-PlacementPolicy::pinPage(Addr addr, ProcId home)
-{
-    if (addr >= g_.privateBase || home >= g_.nnodes)
-        return; // private pages are always owner-homed
-    const std::size_t idx = pageIndexOf(addr);
-    if (idx >= kMaxTablePages)
-        return;
-    ensureCovered(idx);
-    claim(idx, home);
-}
-
-void
 PlacementPolicy::claim(std::size_t page_idx, ProcId home)
 {
     table_[page_idx] = home;
-    if (!resolved_[page_idx]) {
-        resolved_[page_idx] = 1;
-        ++claimed_;
-    }
+    resolved_[page_idx] = 1;
+    ++claimed_;
 }
 
 void

@@ -156,22 +156,14 @@ class PlacementPolicy
      *
      * Either way the same trace set yields the same homes whatever the
      * machine's timing. Claims persist across runs (a page's first claim
-     * wins) and never override a pin, which is what the warm-start
-     * sequences expect of a real OS.
+     * wins), which is what the warm-start sequences expect of a real OS.
      */
     void beginRun(const std::vector<const TraceStream *> &traces);
-
-    /**
-     * Explicit placement hint: pin the page containing @p addr to
-     * @p home, overriding the policy rule (and, for first-touch, the
-     * future claim). The db layer's allocation-time hints feed this.
-     */
-    void pinPage(Addr addr, ProcId home);
 
     /** Pages currently covered by the flat table (tests/diagnostics). */
     std::size_t coveredPages() const { return table_.size(); }
 
-    /** Pages claimed (first-touch, profile) or pinned so far. */
+    /** Pages claimed so far (first-touch, profile). */
     std::size_t claimedPages() const { return claimed_; }
 
   private:
@@ -191,7 +183,8 @@ class PlacementPolicy
     /** Extend the table through @p page_idx using ruleHome. */
     void ensureCovered(std::size_t page_idx);
 
-    /** Home page @p page_idx (covered) at @p home and mark it resolved. */
+    /** Home unresolved page @p page_idx (covered) at @p home and mark it
+     * resolved. */
     void claim(std::size_t page_idx, ProcId home);
 
     /** profile: claim every unresolved page for its majority accessor. */
@@ -203,7 +196,7 @@ class PlacementPolicy
     int privShift_ = -1; ///< log2(privateStride) when a power of two
 
     std::vector<ProcId> table_; ///< page index -> home node
-    /** 1 = table_[i] is a claim/pin, not the fallback rule */
+    /** 1 = table_[i] is a claim, not the fallback rule */
     std::vector<std::uint8_t> resolved_;
     std::size_t claimed_ = 0;
 

@@ -11,8 +11,13 @@
  *                 L2, 8 MB 16-way LLC — over the same CC-NUMA
  *                 interconnect, for LLC-era replays of the paper's
  *                 questions;
- *  - `scaled64`   the paper's caches on 64 processors (the directory's
- *                 full sharer-mask width), for scaling studies.
+ *  - `scaled64`   the paper's caches on 64 nodes (the directory's full
+ *                 sharer-mask width). The benches trace 4 processors and
+ *                 replay them on its 64 nodes, so 60 processors idle and
+ *                 the preset only spreads page homes; throughput_stream's
+ *                 open-loop points are the exception and admit queries
+ *                 onto all 64. The processor-scaling study is
+ *                 ablation_scaling.
  *
  * Anything else is a path to a JSON file in the same schema that
  * obs-layer reports embed as their "config" block (obs::toJson of a

@@ -1,14 +1,13 @@
 /**
  * @file
  * Fault-injection determinism and graceful-failure tests (sim/fault.hh,
- * sim/error.hh, harness/guard.hh).
+ * sim/error.hh).
  *
  * The contract under test: a FaultPlan's decisions are a pure function
  * of (seed, run, proc, trace position, kind) — the same seed yields a
  * bit-identical fault schedule on every rerun; rate 0 changes nothing at
- * all; injected query aborts are always retried to completion; and a
- * simulated deadlock surfaces as a typed SimError with a per-processor
- * dump instead of an assert.
+ * all; and a simulated deadlock surfaces as a typed SimError with a
+ * per-processor dump instead of an assert.
  */
 
 #include <random>
@@ -17,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/runner.hh"
 #include "obs/stats_json.hh"
 #include "sim/arena.hh"
 #include "sim/error.hh"
@@ -163,33 +161,6 @@ TEST(FaultInjection, FaultsFireAndPerturbTiming)
               base.aggregate().totalCycles());
 }
 
-TEST(FaultInjection, InjectedQueryAbortsAreRetriedToCompletion)
-{
-    const MachineConfig cfg = MachineConfig::baseline();
-    const auto traces = fuzzTraces(13, cfg.nprocs);
-    harness::TraceSet set;
-    for (const TraceStream &t : traces)
-        set.push_back(t);
-
-    FaultConfig fc;
-    fc.seed = 2;
-    fc.rate = 0.9; // query aborts all but guaranteed
-    fc.kinds = FaultConfig::bitOf(FaultKind::QueryAbort);
-    FaultPlan plan(fc);
-
-    harness::RunOptions opts;
-    opts.faults = &plan;
-    SimStats s = harness::runCold(cfg, set, opts); // must not throw
-    EXPECT_GT(s.aggregate().totalCycles(), 0u);
-
-    const FaultPlan::Counters c = plan.counters();
-    ASSERT_GT(c.aborts, 0u);
-    EXPECT_LE(c.aborts, fc.maxAbortsPerQuery);
-    // Every injected abort consumed exactly one retry, with backoff.
-    EXPECT_EQ(c.retries, c.aborts);
-    EXPECT_GT(c.backoffCycles, 0u);
-}
-
 TEST(FaultInjection, ChainedRunsGetDistinctSchedules)
 {
     const MachineConfig cfg = MachineConfig::baseline();
@@ -223,9 +194,9 @@ TEST(FaultInjection, ProcessorsPastTheEighthFaultToo)
     fc.rate = 1.0;
     FaultPlan plan(fc);
     plan.beginRun();
-    EXPECT_EQ(plan.readDelay(40, 3), fc.spikeCycles);
+    EXPECT_EQ(plan.readDelay(40, 3), sim::kSpikeCycles);
     const FaultPlan::Event spike{FaultKind::LatencySpike, 40, 1, 3,
-                                 fc.spikeCycles};
+                                 sim::kSpikeCycles};
     EXPECT_EQ(plan.schedule(), std::vector<FaultPlan::Event>{spike});
     EXPECT_EQ(plan.counters().injected, 1u);
 }

@@ -339,6 +339,11 @@ TEST(MachineSpec, ModernPresetReconcilesAndReproducesPublishedNumbers)
             if (at("l2_accesses") > 0) {
                 EXPECT_GT(at("l3_accesses"), 0u) << proc;
             }
+            // Inclusion: a line absent from a level is absent from every
+            // level above it, so per-level misses never grow down the
+            // chain.
+            EXPECT_GE(misses("l1"), misses("l2")) << proc;
+            EXPECT_GE(misses("l2"), misses("l3")) << proc;
         }
 
         if (q != tpcd::QueryId::Q6)

@@ -283,55 +283,6 @@ TEST(Sampler, JsonSeriesMatchesSamples)
               s0.procs[0].busy);
 }
 
-/**
- * Regression: counters registered after the first epoch tick used to be
- * dropped for the rest of the run (the counter set was enumerated once).
- * They must reconcile against a zero baseline instead, and the per-epoch
- * registrySize snapshot must expose the growth.
- */
-TEST(Sampler, LateRegisteredCountersReconcileAgainstZeroBaseline)
-{
-    obs::Registry reg;
-    std::uint64_t early = 0;
-    reg.addCounter("early", [&] { return early; });
-
-    obs::Sampler sampler(100);
-    sampler.attachRegistry(&reg);
-    std::vector<sim::ProcStats> cum(1);
-
-    sampler.beginRun(1);
-    early = 7;
-    cum[0].busy = 100;
-    sampler.sample(100, cum); // epoch 0: only "early" exists yet
-
-    std::uint64_t late = 0;
-    reg.addCounter("late", [&] { return late; });
-    early = 12;
-    late = 5;
-    cum[0].busy = 200;
-    sampler.sample(200, cum); // epoch 1: "late" appears mid-run
-
-    late = 9;
-    cum[0].busy = 250;
-    sampler.finishRun(250, cum);
-
-    // Sums of deltas equal the end-of-run values — for the late counter
-    // that only works if its first delta used a zero baseline.
-    EXPECT_EQ(sampler.counterTotal(0, "early"), 12u);
-    EXPECT_EQ(sampler.counterTotal(0, "late"), 9u);
-
-    ASSERT_EQ(sampler.samples().size(), 3u);
-    EXPECT_EQ(sampler.samples()[0].registrySize, 1u);
-    EXPECT_EQ(sampler.samples()[1].registrySize, 2u);
-    bool found = false;
-    for (const auto &[name, delta] : sampler.samples()[1].counters)
-        if (name == "late") {
-            EXPECT_EQ(delta, 5u); // absolute value == delta from zero
-            found = true;
-        }
-    EXPECT_TRUE(found);
-}
-
 // ---------------------------------------------------------------- timeline
 
 TEST(Timeline, CoalescesAdjacentSpansAndDropsOverlaps)

@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "db/bufmgr.hh"
 #include "harness/options.hh"
 #include "harness/runner.hh"
 #include "harness/workload.hh"
@@ -151,31 +150,6 @@ TEST(Placement, InterleaveHandlesNonPowerOfTwoGeometry)
     for (Addr a = 0; a < 30 * g.pageBytes; a += 1021)
         EXPECT_EQ(policy->homeOf(a),
                   static_cast<ProcId>((a / g.pageBytes) % g.nnodes));
-}
-
-// --- pinPage -------------------------------------------------------------
-
-TEST(Placement, PinPageOverridesTheRule)
-{
-    auto policy = PlacementPolicy::interleave(baselineGeometry());
-    const Addr page3 = 3 * 8192;
-    ASSERT_EQ(policy->homeOf(page3), 3u);
-    policy->pinPage(page3 + 100, 1);
-    EXPECT_EQ(policy->homeOf(page3), 1u);
-    EXPECT_EQ(policy->homeOf(page3 + 8191), 1u);
-    // Neighbours keep the rule.
-    EXPECT_EQ(policy->homeOf(page3 - 1), 2u);
-    EXPECT_EQ(policy->homeOf(page3 + 8192), 0u);
-}
-
-TEST(Placement, PinPageIgnoresPrivateAndBogusTargets)
-{
-    auto policy = PlacementPolicy::interleave(baselineGeometry());
-    policy->pinPage(AddressSpace::kPrivateBase + 64, 3); // private
-    EXPECT_EQ(policy->claimedPages(), 0u);
-    policy->pinPage(8192, 99); // home out of range
-    EXPECT_EQ(policy->claimedPages(), 0u);
-    EXPECT_EQ(policy->homeOf(8192), 1u);
 }
 
 // --- first-touch ---------------------------------------------------------
@@ -326,32 +300,6 @@ TEST(Placement, ClassAffinityRejectsOutOfRangeNode)
         std::invalid_argument);
 }
 
-TEST(Placement, BufferManagerHintsCoverPagesAndFeedPinPage)
-{
-    // The db layer records one placement hint per 8 KB buffer block; a
-    // harness can replay explicit homes through pinPage. Check the hints
-    // of a real TPC-D database line up with pages and carry classes, and
-    // that feeding a hint through pinPage overrides the policy.
-    harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
-    db::BufferManager &bm = wl.db().bufmgr();
-    const auto &hints = bm.placementHints();
-    ASSERT_EQ(hints.size(), bm.numBlocks());
-    for (const db::BufferManager::PlacementHint &h : hints) {
-        EXPECT_EQ(h.page % 8192, 0u) << "hint not page-aligned";
-        EXPECT_EQ(h.home, db::BufferManager::kNoHomeHint);
-    }
-
-    bm.hintHome(hints.front().page, 3);
-    EXPECT_EQ(bm.placementHints().front().home, 3u);
-    EXPECT_THROW(bm.hintHome(0xdead0000, 1), std::runtime_error);
-
-    auto policy = PlacementPolicy::interleave(baselineGeometry());
-    for (const db::BufferManager::PlacementHint &h : bm.placementHints())
-        if (h.home != db::BufferManager::kNoHomeHint)
-            policy->pinPage(h.page, h.home);
-    EXPECT_EQ(policy->homeOf(hints.front().page), 3u);
-}
-
 // --- profile -------------------------------------------------------------
 
 TEST(Placement, ProfileHomesPagesAtTheirMajorityAccessor)
@@ -375,16 +323,12 @@ TEST(Placement, ProfileHomesPagesAtTheirMajorityAccessor)
     }
 
     auto policy = PlacementPolicy::profile(baselineGeometry());
-    policy->pinPage(5 * 8192, 3);
-    // Page 5 is pinned; proc 0's references to it cannot move it.
-    streams[0].record(sim::TraceEntry::read(5 * 8192, DataClass::Data, 8));
     policy->beginRun(
         {&streams[0], &streams[1], &streams[2], &streams[3]});
     EXPECT_EQ(policy->homeOf(0), 1u);
     EXPECT_EQ(policy->homeOf(2 * 8192), 2u); // tie -> lower proc id
-    EXPECT_EQ(policy->homeOf(5 * 8192), 3u); // the pin wins
     EXPECT_EQ(policy->homeOf(7 * 8192), 3u); // unreferenced -> interleave
-    EXPECT_EQ(policy->claimedPages(), 3u);   // pages 0, 2 and the pin
+    EXPECT_EQ(policy->claimedPages(), 2u);   // pages 0 and 2
 
     // Claims persist: a later run dominated by proc 0 claims only the
     // pages still unresolved.
@@ -396,7 +340,7 @@ TEST(Placement, ProfileHomesPagesAtTheirMajorityAccessor)
     policy->beginRun({&later[0], &later[1], &later[2], &later[3]});
     EXPECT_EQ(policy->homeOf(0), 1u);
     EXPECT_EQ(policy->homeOf(4 * 8192), 0u);
-    EXPECT_EQ(policy->claimedPages(), 4u);
+    EXPECT_EQ(policy->claimedPages(), 3u);
 }
 
 /**
