@@ -7,16 +7,33 @@
 namespace dss {
 namespace harness {
 
+void
+wireMachine(sim::Machine &machine, const RunOptions &opts)
+{
+    machine.setChecker(opts.checker);
+    machine.setFaultPlan(opts.faults);
+    machine.setPlacement(opts.placement);
+    machine.setMemProfile(opts.memProfile);
+}
+
+void
+registerRunStats(obs::Registry &reg, const sim::Machine &machine,
+                 const RunOptions &opts)
+{
+    machine.registerStats(reg);
+    if (opts.checker)
+        opts.checker->registerStats(reg, "check");
+    if (opts.faults)
+        opts.faults->registerStats(reg, "fault");
+}
+
 std::vector<sim::SimStats>
 runSequence(const sim::MachineConfig &cfg,
             const std::vector<const TraceSet *> &sequence,
             const RunOptions &opts)
 {
     sim::Machine machine(cfg);
-    machine.setChecker(opts.checker);
-    machine.setFaultPlan(opts.faults);
-    machine.setPlacement(opts.placement);
-    machine.setMemProfile(opts.memProfile);
+    wireMachine(machine, opts);
     std::vector<sim::SimStats> out;
     out.reserve(sequence.size());
     for (const TraceSet *traces : sequence) {
@@ -26,11 +43,7 @@ runSequence(const sim::MachineConfig &cfg,
     }
     if (opts.registrySnapshot) {
         obs::Registry reg;
-        machine.registerStats(reg);
-        if (opts.checker)
-            opts.checker->registerStats(reg, "check");
-        if (opts.faults)
-            opts.faults->registerStats(reg, "fault");
+        registerRunStats(reg, machine, opts);
         *opts.registrySnapshot = reg.toJson();
     }
     return out;

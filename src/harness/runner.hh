@@ -20,6 +20,7 @@ namespace dss {
 namespace obs {
 class Json;
 class MemProfile;
+class Registry;
 class Sampler;
 class Timeline;
 } // namespace obs
@@ -55,6 +56,22 @@ struct RunOptions
      * counters come alive. */
     obs::MemProfile *memProfile = nullptr;
 };
+
+/**
+ * Wire @p machine from @p opts: attach its invariant checker, fault
+ * plan, placement policy and memory profile. runSequence and the stream
+ * scheduler wire their machines through this one call.
+ */
+void wireMachine(sim::Machine &machine, const RunOptions &opts);
+
+/**
+ * Register the counters of a run's registry snapshot into @p reg:
+ * @p machine's own, then the checker's ("check.*") and the fault plan's
+ * ("fault.*") when @p opts carries them. The stream scheduler adds its
+ * cache and sched counters after these.
+ */
+void registerRunStats(obs::Registry &reg, const sim::Machine &machine,
+                      const RunOptions &opts);
 
 /**
  * Simulate a sequence of trace sets on one machine without flushing caches

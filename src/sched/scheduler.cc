@@ -8,8 +8,6 @@
 
 #include "obs/registry.hh"
 #include "obs/stats_json.hh"
-#include "sim/check.hh"
-#include "sim/fault.hh"
 
 namespace dss {
 namespace sched {
@@ -28,11 +26,7 @@ StreamScheduler::StreamScheduler(harness::Workload &workload,
         throw std::invalid_argument(
             "stream machine has more processors than the workload's "
             "address space provides private heaps for");
-    // Wire the machine exactly like harness::runCold would.
-    machine_.setChecker(opts_.checker);
-    machine_.setFaultPlan(opts_.faults);
-    machine_.setPlacement(opts_.placement);
-    machine_.setMemProfile(opts_.memProfile);
+    harness::wireMachine(machine_, opts_);
 }
 
 unsigned
@@ -67,11 +61,11 @@ StreamScheduler::runInstance(const QueryInstance &inst, sim::ProcId proc,
     rec.proc = proc;
     rec.start = start;
 
-    const sim::TraceStream &stream = cache_->fetch(
+    const TraceCache::Entry &cached = cache_->fetch(
         {inst.query, inst.paramSeed, proc}, [&] {
             return workload_.streamTrace(inst.query, inst.paramSeed, proc);
         });
-    rec.traceHash = stream.contentHash();
+    rec.traceHash = cached.hash;
 
     if (cfg_.coldCache)
         machine_.resetMemoryState();
@@ -82,7 +76,7 @@ StreamScheduler::runInstance(const QueryInstance &inst, sim::ProcId proc,
     // what makes stream results a pure function of the configuration.
     static const sim::TraceStream kEmpty;
     std::vector<const sim::TraceStream *> ptrs(proc + 1, &kEmpty);
-    ptrs[proc] = &stream;
+    ptrs[proc] = &cached.stream;
     machine_.resetStats();
     rec.stats = machine_.run(ptrs, opts_.sampler, opts_.timeline);
 
@@ -222,11 +216,7 @@ StreamScheduler::run()
     // report sees the whole warm stream).
     if (opts_.registrySnapshot) {
         obs::Registry reg;
-        machine_.registerStats(reg);
-        if (opts_.checker)
-            opts_.checker->registerStats(reg, "check");
-        if (opts_.faults)
-            opts_.faults->registerStats(reg, "fault");
+        harness::registerRunStats(reg, machine_, opts_);
         cache_->registerStats(reg, "cache");
         registerStats(reg, "sched");
         *opts_.registrySnapshot = reg.toJson();

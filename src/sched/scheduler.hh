@@ -61,7 +61,8 @@ struct InstanceRecord
     sim::Cycles service = 0;  ///< cycles the processor was occupied
     sim::Cycles wait = 0;     ///< start - arrival (queueing delay)
     sim::Cycles latency = 0;  ///< complete - arrival
-    std::uint64_t traceHash = 0; ///< content hash of the replayed trace
+    std::uint64_t traceHash = 0; ///< content hash of the replayed trace,
+                                 ///< as the cache stored it at capture
     sim::SimStats stats;      ///< full solo-run statistics
 };
 
@@ -92,10 +93,10 @@ obs::Json toJson(const StreamResult &r, bool include_run_stats = true);
 
 /**
  * Runs one stream on one warm machine. The scheduler owns the Machine
- * (built from @p machine_cfg) and wires it from @p base_opts exactly
- * like harness::runCold would (checker, fault plan, placement, memory
- * profile); the per-run observers of @p base_opts (sampler, timeline)
- * pass through to every instance run.
+ * (built from @p machine_cfg) and wires it from @p base_opts with
+ * harness::wireMachine, as runSequence does (checker, fault plan,
+ * placement, memory profile); the per-run observers of @p base_opts
+ * (sampler, timeline) pass through to every instance run.
  *
  * Every instance's trace comes through @p cache, which must not be null
  * and may be shared across schedulers — entries are keyed on capture

@@ -7,7 +7,7 @@
 namespace dss {
 namespace sched {
 
-const sim::TraceStream &
+const TraceCache::Entry &
 TraceCache::fetch(const Key &key, const Capture &capture)
 {
     auto it = entries_.find(key);
@@ -16,17 +16,18 @@ TraceCache::fetch(const Key &key, const Capture &capture)
         return it->second;
     }
     ++stats_.misses;
-    sim::TraceStream stream = capture();
-    stats_.traceEntries += stream.entries().size();
+    Entry e{capture()};
+    e.hash = e.stream.contentHash();
+    stats_.traceEntries += e.stream.entries().size();
     ++stats_.entries;
-    return entries_.emplace(key, std::move(stream)).first->second;
+    return entries_.emplace(key, std::move(e)).first->second;
 }
 
 const sim::TraceStream *
 TraceCache::lookup(const Key &key) const
 {
     auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : &it->second;
+    return it == entries_.end() ? nullptr : &it->second.stream;
 }
 
 std::uint64_t

@@ -13,10 +13,14 @@
  * and replay the cached stream for every later instance, with
  * bit-identical simulation results (test_sched.cc proves this).
  *
- * The cache is keyed by the capture arguments and grows without bound;
- * reports — and the purity regression test — read each stored stream's
- * FNV-1a content hash (TraceStream::contentHash) to verify that a
- * re-capture of the same key reproduces the same bytes.
+ * The cache is keyed by the capture arguments and grows without bound.
+ * A stored stream never changes after capture, so its FNV-1a content
+ * hash (TraceStream::contentHash) is computed once, when the miss
+ * stores it, and every later fetch reads the stored value. Reports — and
+ * the purity regression test — use that hash to verify that a
+ * re-capture of the same key reproduces the same bytes;
+ * contentHashOf() re-hashes the stored bytes, for checking the stored
+ * value.
  */
 
 #ifndef DSS_SCHED_TRACE_CACHE_HH
@@ -65,23 +69,31 @@ class TraceCache
         std::uint64_t traceEntries = 0; ///< total TraceEntry records held
     };
 
+    /** A stored stream and its content hash, computed at capture. */
+    struct Entry
+    {
+        sim::TraceStream stream;
+        std::uint64_t hash = 0;
+    };
+
     /** Produces the stream for a key on a miss (calls streamTrace). */
     using Capture = std::function<sim::TraceStream()>;
 
     /**
-     * The stream for @p key: on a hit, the stored stream (capture not
-     * invoked); on a miss, @p capture() runs and its result is stored.
-     * The returned reference stays valid for the cache's lifetime
-     * (std::map nodes are stable).
+     * The entry for @p key: on a hit, the stored one (capture not
+     * invoked); on a miss, @p capture() runs and its result is stored
+     * with its hash. The returned reference stays valid for the cache's
+     * lifetime (std::map nodes are stable).
      */
-    const sim::TraceStream &fetch(const Key &key, const Capture &capture);
+    const Entry &fetch(const Key &key, const Capture &capture);
 
     /** The stored stream for @p key, or nullptr if absent. */
     const sim::TraceStream *lookup(const Key &key) const;
 
     const Stats &stats() const { return stats_; }
 
-    /** FNV-1a content hash of the stored stream; 0 if absent. */
+    /** FNV-1a content hash of the stored stream's bytes, hashed anew on
+     * every call (Entry::hash is the capture-time value); 0 if absent. */
     std::uint64_t contentHashOf(const Key &key) const;
 
     /** Export cache.{hits,misses,entries,trace_entries}. */
@@ -89,7 +101,7 @@ class TraceCache
                        const std::string &prefix = "cache") const;
 
   private:
-    std::map<Key, sim::TraceStream> entries_;
+    std::map<Key, Entry> entries_;
     Stats stats_;
 };
 

@@ -422,9 +422,9 @@ class Machine
     void countHop(ProcStats &st, DataClass cls, Addr l2_line,
                   std::size_t hop);
 
-    void step(ProcId p);
-    /** Dispatch one explicit entry through the pipelines (step() body;
-     * also the modelStep() entry point, where @p e is synthesized). */
+    /** Dispatch one explicit entry through the pipelines (one runSeq()
+     * step; also the modelStep() entry point, where @p e is
+     * synthesized). */
     void stepEntry(ProcId p, const TraceEntry &e);
     void doRead(ProcId p, const TraceEntry &e);
     void doWrite(ProcId p, const TraceEntry &e);
@@ -437,7 +437,9 @@ class Machine
     void doLockRel(ProcId p, const TraceEntry &e);
 
     /** The replay loop: always step the runnable processor with the
-     * minimum (clock, procid). */
+     * minimum (clock, procid). One scan finds it and its runner-up; it
+     * then steps until the runner-up overtakes it, it releases a lock,
+     * blocks or finishes. */
     void runSeq(std::size_t nrun);
 
     /** Unwind with a SimError dumping every processor's state and the

@@ -154,6 +154,37 @@ TEST(Coherence, ThreeWaySharingInvalidatesAllCopies)
     EXPECT_EQ(s.procs[1].l2Misses().of(DataClass::Data, MissType::Cohe), 1u);
 }
 
+TEST(Coherence, StoreThatTakesOwnershipRepaysUpperLevelMarks)
+{
+    Machine m(MachineConfig::baseline());
+    // Line 0x40 has two L1 sublines, A = 0x40 and B = 0x60. p0 caches
+    // both; p1's store invalidates them, marking each Cohe.
+    const Addr a = 0x40, b = 0x60;
+    TraceStream p0 = streamOf({
+        TraceEntry::read(a, DataClass::Data, 8),
+        TraceEntry::read(b, DataClass::Data, 8),
+        TraceEntry::busy(10000),
+        TraceEntry::read(a, DataClass::Data, 8),  // Cohe at L1 and L2
+        TraceEntry::write(a, DataClass::Data, 8), // upgrade: repays B
+        TraceEntry::write(a, DataClass::Data, 8), // owned store
+        TraceEntry::read(b, DataClass::Data, 8),  // Conf at L1
+    });
+    TraceStream p1 = streamOf({
+        TraceEntry::busy(5000),
+        TraceEntry::write(a, DataClass::Data, 8),
+    });
+    SimStats s = m.run({&p0, &p1});
+    const ProcStats &st = s.procs[0];
+    EXPECT_EQ(st.l1Misses().of(DataClass::Data, MissType::Cold), 2u);
+    EXPECT_EQ(st.l1Misses().of(DataClass::Data, MissType::Cohe), 1u);
+    EXPECT_EQ(st.l1Misses().of(DataClass::Data, MissType::Conf), 1u);
+    EXPECT_EQ(st.l2Misses().of(DataClass::Data, MissType::Cohe), 1u);
+    const Directory::Entry *e = m.directory().peek(a);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->state, Directory::State::Dirty);
+    EXPECT_EQ(e->owner, 0u);
+}
+
 TEST(Coherence, PrivateDataNeverPingPongs)
 {
     Machine m(MachineConfig::baseline());

@@ -192,16 +192,18 @@ TEST(TraceCacheUnit, HitSkipsCapture)
         s.record(sim::TraceEntry::read(0x1000, sim::DataClass::Data, 4));
         return s;
     };
-    const sim::TraceStream &a = cache.fetch(key, capture);
-    const sim::TraceStream &b = cache.fetch(key, capture);
+    const sched::TraceCache::Entry &a = cache.fetch(key, capture);
+    const sched::TraceCache::Entry &b = cache.fetch(key, capture);
     EXPECT_EQ(captures, 1);
     EXPECT_EQ(&a, &b);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().entries, 1u);
-    EXPECT_EQ(cache.stats().traceEntries, a.entries().size());
-    EXPECT_EQ(cache.contentHashOf(key), a.contentHash());
-    EXPECT_NE(cache.lookup(key), nullptr);
+    EXPECT_EQ(cache.stats().traceEntries, a.stream.entries().size());
+    // The hash stored at capture is the stored bytes' hash.
+    EXPECT_EQ(a.hash, a.stream.contentHash());
+    EXPECT_EQ(cache.contentHashOf(key), a.hash);
+    EXPECT_EQ(cache.lookup(key), &a.stream);
 
     // A different processor slot is a different key.
     const sched::TraceCache::Key other{tpcd::QueryId::Q6, 1, 1};
@@ -307,6 +309,17 @@ TEST_F(SchedSim, CacheHitPathIsBitIdenticalToMissPath)
     obs::Json w = toJson(warm, true);
     EXPECT_EQ(w["records"].dump(), a["records"].dump());
     EXPECT_EQ(w["summary"].dump(), a["summary"].dump());
+
+    // Each record carries the hash the cache stored at capture, hit or
+    // miss: a fresh hash of the bytes the cache holds for its key.
+    for (const sched::StreamResult *r : {&first, &warm}) {
+        for (const sched::InstanceRecord &rec : r->records) {
+            EXPECT_EQ(rec.traceHash,
+                      fresh.contentHashOf(
+                          {rec.inst.query, rec.inst.paramSeed, rec.proc}))
+                << "instance " << rec.inst.id;
+        }
+    }
 }
 
 TEST_F(SchedSim, PolicyOrdersDispatchDeterministically)
