@@ -14,21 +14,17 @@
 # parallelism lands with a race detector already wired up.
 #
 # --chaos runs the robustness gauntlet: TSan and ASan builds over the
-# fault-injection, invariant-checker and stream suites, plus the
-# chaos_fault_sweep bench at tiny scale (nonzero fault rates, checker
-# on, exit 1 on any violation) and the placement-policy sweep under the
-# checker, then the --assert leg.
+# invariant-checker, graceful-failure, guard and stream suites, plus the
+# placement-policy sweep under the checker (exit 1 on any violation),
+# then the --assert leg.
 #
 # --assert builds a Debug tree (build-debug/) and runs the full
 # dss_tests there. Every other build, the sanitizer legs included, is
 # RelWithDebInfo, whose NDEBUG compiles the simulator's asserts out;
 # this is the one leg where they run.
 #
-# --placement runs the NUMA placement checks: the placement unit tests,
-# the 4-policy x Q3/Q6/Q12 sweep under the invariant checker, and
-# chaos_fault_sweep under interleave vs first-touch with the same fault
-# seed — the injected fault counts must be byte-identical (FaultPlan
-# keys on trace positions, never on page homes).
+# --placement runs the NUMA placement checks: the placement unit tests
+# and the 4-policy x Q3/Q6/Q12 sweep under the invariant checker.
 #
 # --memprof runs the line-level memory-profile checks: the memprof unit
 # tests, which include the profile schema and its reconciliation with
@@ -159,7 +155,7 @@ machine_checks() {
     # Preset discovery: `--machine list` prints every preset and exits 0.
     local listing
     listing="$("$dir/bench/fig6_time_breakdown" --machine list)"
-    for preset in paper1997 modern scaled64; do
+    for preset in paper1997 modern; do
         if ! grep -q "$preset" <<< "$listing"; then
             echo "check.sh: machine: '--machine list' lacks $preset" >&2
             exit 1
@@ -286,21 +282,19 @@ lint_checks() {
 }
 
 if [[ "$chaos" -eq 1 ]]; then
-    # Robustness gauntlet: the fault/checker/guard and stream suites,
-    # under both TSan and ASan, then the chaos sweep bench end to end
-    # (its exit code is the verdict).
-    filter='FaultDeterminism.*:FaultInjection.*:GracefulFailure.*'
-    filter+=':CheckerCorruption.*:CheckerClean.*'
+    # Robustness gauntlet: the checker/failure/guard and stream suites
+    # under both TSan and ASan, then the placement sweep under the
+    # checker end to end (its exit code is the verdict).
+    filter='GracefulFailure.*:CheckerCorruption.*:CheckerClean.*'
     filter+=':GuardedMain.*:SchedSim.*:StreamFuzz.*'
     for san in thread address; do
         dir="$repo/build-$(short_of "$san")"
         cmake -B "$dir" -S "$repo" -DSIM_SANITIZE="$san"
         cmake --build "$dir" -j"$(nproc)" \
-            --target dss_tests chaos_fault_sweep ablation_placement \
-            report_memprof throughput_stream fig6_time_breakdown \
-            verify_protocol json_validate
+            --target dss_tests ablation_placement report_memprof \
+            throughput_stream fig6_time_breakdown verify_protocol \
+            json_validate
         "$dir/tests/dss_tests" --gtest_filter="$filter"
-        "$dir/bench/chaos_fault_sweep" --scale tiny
         "$dir/bench/ablation_placement" --scale tiny --check
         # The profile hooks and the sharing tracker under the
         # sanitizer, plus the schema/reconciliation tests.
@@ -328,37 +322,13 @@ elif [[ "$placement" -eq 1 ]]; then
     build="${build:-$repo/build}"
     cmake -B "$build" -S "$repo"
     cmake --build "$build" -j"$(nproc)" \
-        --target dss_tests ablation_placement chaos_fault_sweep
+        --target dss_tests ablation_placement
     "$build/tests/dss_tests" --gtest_filter='Placement*.*'
 
     # The 4-policy x Q3/Q6/Q12 sweep under the coherence invariant
     # checker: every policy must finish with zero violations.
     "$build/bench/ablation_placement" --scale tiny --check
-
-    # Fault schedules must be placement-invariant: the FaultPlan keys on
-    # per-processor trace positions, never on page homes, so moving every
-    # shared page (first-touch vs interleave) must leave the injected
-    # fault counts byte-identical at the same seed. Rows are (query,
-    # fault rate, faults).
-    sched_of() {
-        "$build/bench/chaos_fault_sweep" --scale tiny --fault-seed 7 \
-            --placement "$1" |
-            awk 'NF >= 6 && $2 ~ /^0\./ { print $1, $2, $3 }'
-    }
-    a="$(sched_of interleave)"
-    b="$(sched_of first-touch)"
-    if [[ -z "$a" ]]; then
-        echo "check.sh: no fault-schedule rows extracted from" \
-             "chaos_fault_sweep output" >&2
-        exit 1
-    fi
-    if [[ "$a" != "$b" ]]; then
-        echo "check.sh: fault schedule moved with the placement policy" >&2
-        diff <(echo "$a") <(echo "$b") >&2 || true
-        exit 1
-    fi
-    echo "check.sh: placement checks passed (fault schedule is" \
-         "placement-invariant)"
+    echo "check.sh: placement checks passed"
 elif [[ "$memprof" -eq 1 ]]; then
     build="${build:-$repo/build}"
     cmake -B "$build" -S "$repo"

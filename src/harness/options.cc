@@ -62,13 +62,6 @@ usage(std::ostream &os, const std::string &bench, unsigned flags)
               "agreement,\n"
            << "                   write-buffer FIFO, lock-table "
               "consistency)\n";
-    if (flags & BenchOptions::kFault)
-        os << "  --fault-rate <p> inject deterministic faults with "
-              "per-opportunity\n"
-           << "                   probability p in [0,1] (0 disables)\n"
-           << "  --fault-seed <n> seed for the fault schedule (the same "
-              "seed\n"
-           << "                   replays the same schedule)\n";
     if (flags & BenchOptions::kPlacement)
         os << "  --placement <p>  NUMA page-placement policy: "
            << sim::PlacementSpec::help() << '\n';
@@ -85,8 +78,8 @@ usage(std::ostream &os, const std::string &bench, unsigned flags)
     if (flags & BenchOptions::kMachine)
         os << "  --machine <m>    machine spec: a preset (paper1997 "
               "default,\n"
-              "                   modern, scaled64), a JSON spec file, or\n"
-              "                   'list' to print the presets\n";
+              "                   modern), a JSON spec file, or 'list' to\n"
+              "                   print the presets\n";
     if (flags & BenchOptions::kVerify)
         os << "  --verify-procs <n>\n"
               "                   model processors in the exhaustive "
@@ -180,21 +173,6 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench_name,
             }
         } else if (arg == "--check" && supported(arg, kCheck)) {
             opts.check = true;
-        } else if (arg == "--fault-seed" && supported(arg, kFault)) {
-            count(needValue(i++), "--fault-seed", "an integer",
-                  opts.faultSeed, 0);
-        } else if (arg == "--fault-rate" && supported(arg, kFault)) {
-            const std::string v = needValue(i++);
-            char *end = nullptr;
-            double r = std::strtod(v.c_str(), &end);
-            if (!end || *end != '\0' || v.empty() || r < 0.0 || r > 1.0) {
-                std::cerr << bench_name
-                          << ": --fault-rate needs a probability in "
-                             "[0,1], got '"
-                          << v << "'\n";
-                std::exit(2);
-            }
-            opts.faultRate = r;
         } else if (arg == "--placement" && supported(arg, kPlacement)) {
             const std::string v = needValue(i++);
             auto spec = sim::PlacementSpec::parse(v);
@@ -267,15 +245,6 @@ BenchOptions::scaleConfig() const
                            : tpcd::ScaleConfig::paperScale();
 }
 
-sim::FaultConfig
-BenchOptions::faultConfig() const
-{
-    sim::FaultConfig fc;
-    fc.seed = faultSeed;
-    fc.rate = faultRate;
-    return fc;
-}
-
 std::unique_ptr<sim::PlacementPolicy>
 makePlacement(const BenchOptions &opts, const sim::MachineConfig &cfg,
               const sim::AddressSpace *space)
@@ -306,8 +275,6 @@ ObsSession::ObsSession(std::string bench_name, BenchOptions opts)
         timeline_ = std::make_unique<obs::Timeline>();
     if (opts_.check)
         checker_ = std::make_unique<sim::InvariantChecker>();
-    if (opts_.faultRate > 0.0)
-        faults_ = std::make_unique<sim::FaultPlan>(opts_.faultConfig());
 }
 
 void
@@ -330,7 +297,6 @@ ObsSession::runOptions()
     ro.timeline = timeline();
     ro.registrySnapshot = registrySlot();
     ro.checker = checker_.get();
-    ro.faults = faults_.get();
     ro.placement = placement_.get();
     ro.memProfile = memProfile_.get();
     return ro;
@@ -382,8 +348,6 @@ ObsSession::finish(const sim::MachineConfig &cfg, std::ostream &err)
         }
         if (checker_)
             doc["check"] = checker_->toJson();
-        if (faults_)
-            doc["fault"] = faults_->toJson();
         std::ofstream os(opts_.jsonPath);
         if (!os) {
             err << bench_ << ": cannot write " << opts_.jsonPath << '\n';
@@ -404,10 +368,6 @@ ObsSession::finish(const sim::MachineConfig &cfg, std::ostream &err)
                     << '\n';
             ok = false;
         }
-    }
-    if (faults_) {
-        err << bench_ << ": injected " << faults_->counters().injected
-            << " fault(s)\n";
     }
     if (memProfile_) {
         err << bench_ << ": memory profiler tracked "

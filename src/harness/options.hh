@@ -13,8 +13,6 @@
  *                    cycles into the JSON report's "epochs" series
  *   --scale <name>   database population: "paper" (default) or "tiny"
  *   --check          run the coherence invariant checker (sim/check.hh)
- *   --fault-seed <n> / --fault-rate <p>
- *                    deterministic fault injection (sim/fault.hh)
  *   --placement <name>[:arg]
  *                    NUMA page-placement policy (sim/placement.hh):
  *                    interleave (default), first-touch,
@@ -25,7 +23,7 @@
  *                    deliberately outside kAll)
  *   --machine <preset|file.json>
  *                    machine specification (sim/spec.hh): paper1997
- *                    (default), modern, scaled64, or a JSON spec file;
+ *                    (default), modern, or a JSON spec file;
  *                    "--machine list" prints the presets (the kMachine
  *                    bit — every bench built on harness::benchMain
  *                    accepts it)
@@ -47,7 +45,6 @@
 #include "obs/sampler.hh"
 #include "obs/timeline.hh"
 #include "sim/check.hh"
-#include "sim/fault.hh"
 #include "sim/machine.hh"
 #include "sim/placement.hh"
 #include "tpcd/dbgen.hh"
@@ -64,30 +61,29 @@ struct BenchOptions
         kEpoch = 1u << 2,
         kScale = 1u << 3,
         kCheck = 1u << 4, ///< --check
-        kFault = 1u << 5, ///< --fault-seed / --fault-rate
-        kPlacement = 1u << 6, ///< --placement
-        kMemprof = 1u << 7, ///< --memprof[=topN]
-        kAll = kJson | kTrace | kEpoch | kScale | kCheck | kFault |
-               kPlacement | kMemprof,
+        kPlacement = 1u << 5, ///< --placement
+        kMemprof = 1u << 6, ///< --memprof[=topN]
+        kAll = kJson | kTrace | kEpoch | kScale | kCheck | kPlacement |
+               kMemprof,
         /**
          * --stream / --stream-seed / --stream-policy.
          * NOT part of kAll: only stream-aware benches opt in (pass
          * kAll | kStream), so the single-shot binaries keep rejecting
          * the stream flags exactly as before.
          */
-        kStream = 1u << 8,
+        kStream = 1u << 7,
         /**
          * --machine. Outside kAll so direct parse() callers are
          * unaffected; harness::benchMain ORs it in, which is how all
          * bench binaries pick the flag up in one place.
          */
-        kMachine = 1u << 9,
+        kMachine = 1u << 8,
         /**
          * --verify-procs / --verify-lines / --verify-wb / --verify-depth
          * / --verify-mutant. Outside kAll: only the protocol model
          * checker bench (bench/verify_protocol.cc) opts in.
          */
-        kVerify = 1u << 10,
+        kVerify = 1u << 9,
     };
 
     std::string jsonPath;        ///< --json; empty = no JSON output
@@ -95,8 +91,6 @@ struct BenchOptions
     sim::Cycles epochCycles = 0; ///< --epoch; 0 = no time-series sampling
     std::string scale = "paper"; ///< --scale
     bool check = false;          ///< --check
-    std::uint64_t faultSeed = 0; ///< --fault-seed
-    double faultRate = 0.0;      ///< --fault-rate; 0 = no injection
     /** --placement, already validated by parse(). */
     sim::PlacementSpec placement;
     bool memprof = false;        ///< --memprof: line-level memory profiler
@@ -126,9 +120,6 @@ struct BenchOptions
 
     /** The TPC-D population selected by --scale. */
     tpcd::ScaleConfig scaleConfig() const;
-
-    /** The fault configuration selected by --fault-seed/--fault-rate. */
-    sim::FaultConfig faultConfig() const;
 };
 
 /**
@@ -156,9 +147,6 @@ class ObsSession
 
     /** Invariant checker; null unless --check was given. */
     sim::InvariantChecker *checker() { return checker_.get(); }
-
-    /** Fault plan; null unless --fault-rate was nonzero. */
-    sim::FaultPlan *faults() { return faults_.get(); }
 
     /** Line-level memory profile; null unless wireMemprof() armed it. */
     obs::MemProfile *memProfile() { return memProfile_.get(); }
@@ -195,8 +183,8 @@ class ObsSession
 
     /**
      * Everything wired up for one runCold/runSequence call: sampler,
-     * timeline, a fresh registry slot (when --json), the checker, fault
-     * plan, placement policy and memory profile.
+     * timeline, a fresh registry slot (when --json), the checker,
+     * placement policy and memory profile.
      */
     RunOptions runOptions();
 
@@ -220,7 +208,7 @@ class ObsSession
 
     /**
      * Write the requested output files (JSON report and/or Chrome trace)
-     * and note them on @p err, including a --check/--fault summary when
+     * and note them on @p err, including a --check summary when
      * active. No-op for files that were not requested.
      * @return false if any file could not be written, or if the
      *         invariant checker detected violations.
@@ -233,7 +221,6 @@ class ObsSession
     std::unique_ptr<obs::Sampler> sampler_;
     std::unique_ptr<obs::Timeline> timeline_;
     std::unique_ptr<sim::InvariantChecker> checker_;
-    std::unique_ptr<sim::FaultPlan> faults_;
     std::unique_ptr<obs::MemProfile> memProfile_;
     obs::RegionMap symbols_;
     std::unique_ptr<sim::PlacementPolicy> placement_;

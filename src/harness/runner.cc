@@ -2,7 +2,6 @@
 
 #include "obs/registry.hh"
 #include "sim/check.hh"
-#include "sim/fault.hh"
 
 namespace dss {
 namespace harness {
@@ -11,7 +10,6 @@ void
 wireMachine(sim::Machine &machine, const RunOptions &opts)
 {
     machine.setChecker(opts.checker);
-    machine.setFaultPlan(opts.faults);
     machine.setPlacement(opts.placement);
     machine.setMemProfile(opts.memProfile);
 }
@@ -23,8 +21,6 @@ registerRunStats(obs::Registry &reg, const sim::Machine &machine,
     machine.registerStats(reg);
     if (opts.checker)
         opts.checker->registerStats(reg, "check");
-    if (opts.faults)
-        opts.faults->registerStats(reg, "fault");
 }
 
 std::vector<sim::SimStats>

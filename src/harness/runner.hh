@@ -26,7 +26,6 @@ class Timeline;
 } // namespace obs
 
 namespace sim {
-class FaultPlan;
 class InvariantChecker;
 class PlacementPolicy;
 } // namespace sim
@@ -35,9 +34,9 @@ namespace harness {
 
 /**
  * Everything a run can be wired up with, in one bundle: observers
- * (sampler / timeline / registry snapshot) and robustness hooks
- * (invariant checker, fault plan). All pointers are optional and
- * borrowed.
+ * (sampler / timeline / registry snapshot), the invariant checker, the
+ * placement policy and the memory profile. All pointers are optional
+ * and borrowed.
  */
 struct RunOptions
 {
@@ -45,7 +44,6 @@ struct RunOptions
     obs::Timeline *timeline = nullptr;
     obs::Json *registrySnapshot = nullptr;
     sim::InvariantChecker *checker = nullptr;
-    sim::FaultPlan *faults = nullptr;
     /** Page-placement policy (sim/placement.hh); null = the machine's
      * default interleave. Mutable: first-touch and profile resolve per
      * run. */
@@ -58,17 +56,17 @@ struct RunOptions
 };
 
 /**
- * Wire @p machine from @p opts: attach its invariant checker, fault
- * plan, placement policy and memory profile. runSequence and the stream
- * scheduler wire their machines through this one call.
+ * Wire @p machine from @p opts: attach its invariant checker, placement
+ * policy and memory profile. runSequence and the stream scheduler wire
+ * their machines through this one call.
  */
 void wireMachine(sim::Machine &machine, const RunOptions &opts);
 
 /**
  * Register the counters of a run's registry snapshot into @p reg:
- * @p machine's own, then the checker's ("check.*") and the fault plan's
- * ("fault.*") when @p opts carries them. The stream scheduler adds its
- * cache and sched counters after these.
+ * @p machine's own, then the checker's ("check.*") when @p opts carries
+ * one. The stream scheduler adds its cache and sched counters after
+ * these.
  */
 void registerRunStats(obs::Registry &reg, const sim::Machine &machine,
                       const RunOptions &opts);

@@ -94,8 +94,8 @@ obs::Json toJson(const StreamResult &r, bool include_run_stats = true);
 /**
  * Runs one stream on one warm machine. The scheduler owns the Machine
  * (built from @p machine_cfg) and wires it from @p base_opts with
- * harness::wireMachine, as runSequence does (checker, fault plan,
- * placement, memory profile); the per-run observers of @p base_opts
+ * harness::wireMachine, as runSequence does (checker, placement,
+ * memory profile); the per-run observers of @p base_opts
  * (sampler, timeline) pass through to every instance run.
  *
  * Every instance's trace comes through @p cache, which must not be null

@@ -21,7 +21,8 @@
  *
  * Violations are recorded as structured CheckViolation records and
  * surfaced through the obs counter registry ("check.*") instead of
- * aborting, so a perturbed run (fault injection) can complete and report.
+ * aborting, so a run that breaks an invariant still completes and
+ * reports its violations.
  * The checker only *reads* machine state: enabling it never changes a
  * single timing or statistic.
  *

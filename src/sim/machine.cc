@@ -11,7 +11,6 @@
 #include "sim/arena.hh"
 #include "sim/check.hh"
 #include "sim/error.hh"
-#include "sim/fault.hh"
 #include "sim/hierarchy.hh"
 
 namespace dss {
@@ -338,21 +337,6 @@ Machine::fillCoherent(ProcId p, Addr addr, bool dirty)
     }
 }
 
-inline void
-Machine::faultEvict(ProcId p, Addr addr)
-{
-    Node &n = *nodes_[p];
-    const Addr l2_line = n.coh().lineAddrOf(addr);
-    if (!n.coh().contains(l2_line))
-        return;
-    n.coh().invalidate(l2_line, /*coherence=*/false);
-    invalidateUpperLevels(p, l2_line, /*coherence=*/false);
-    // Keep the directory agreeing with the caches — the invariant
-    // checker must see no difference between injected and organic
-    // evictions.
-    dropFromDirectory(p, l2_line);
-}
-
 inline Machine::ReadOutcome
 Machine::readAccess(ProcId p, Addr addr, DataClass cls, unsigned size)
 {
@@ -655,19 +639,9 @@ inline void
 Machine::doRead(ProcId p, const TraceEntry &e)
 {
     ProcRun &r = runs_[p];
-    Cycles injected = 0;
-    if (fault_) {
-        // Decisions are keyed on (proc, trace position): each Read
-        // position is visited exactly once, so the schedule does not
-        // depend on the interleaving.
-        if (fault_->evictAt(p, r.pos))
-            faultEvict(p, e.addr);
-        injected = fault_->readDelay(p, r.pos);
-    }
     ReadOutcome o = readAccess(p, e.addr, e.cls, e.size);
     const Cycles stall =
-        (o.latency > levelHitLat_[0] ? o.latency - levelHitLat_[0] : 0) +
-        injected;
+        o.latency > levelHitLat_[0] ? o.latency - levelHitLat_[0] : 0;
     r.stats.busy += cfg_.issueCyclesPerRef;
     r.stats.memStall += stall;
     r.stats.memStallByGroup[static_cast<std::size_t>(groupOf(e.cls))] +=
@@ -703,35 +677,6 @@ Machine::doWrite(ProcId p, const TraceEntry &e)
         span(p, obs::SpanKind::Mem, r.clock, r.clock + stall);
         r.clock += stall;
     }
-    if (fault_) {
-        // WbStall storm: the buffer's drain path is congested and the
-        // processor stalls as if it had overflowed.
-        const Cycles extra = fault_->wbStall(p, r.pos);
-        if (extra) {
-            r.stats.memStall += extra;
-            r.stats.memStallByGroup[static_cast<std::size_t>(
-                groupOf(e.cls))] += extra;
-            span(p, obs::SpanKind::Mem, r.clock, r.clock + extra);
-            r.clock += extra;
-        }
-    }
-}
-
-inline void
-Machine::preemptRelease(ProcId p)
-{
-    if (!fault_)
-        return;
-    ProcRun &r = runs_[p];
-    const Cycles stretch = fault_->holdStretch(p, r.pos);
-    if (!stretch)
-        return;
-    // The holder is "preempted" just before its release store: the
-    // critical section stretches and every spinner keeps spinning. The
-    // stretch is the holder's own synchronization cost.
-    r.stats.syncStall += stretch;
-    span(p, obs::SpanKind::Sync, r.clock, r.clock + stretch);
-    r.clock += stretch;
 }
 
 inline void
@@ -810,7 +755,6 @@ Machine::doLockRel(ProcId p, const TraceEntry &e)
 {
     // The release store goes through the write buffer like any other store
     // and invalidates the spinners' cached copies of the lock word.
-    preemptRelease(p);
     doWrite(p, e);
 
     // Then the metalock passes to the first waiter, which wakes no
@@ -894,7 +838,15 @@ void
 Machine::modelEvict(ProcId p, Addr addr)
 {
     assert(p < runs_.size() && "beginModelSteps() before modelEvict()");
-    faultEvict(p, addr);
+    Node &n = *nodes_[p];
+    const Addr l2_line = n.coh().lineAddrOf(addr);
+    if (!n.coh().contains(l2_line))
+        return;
+    n.coh().invalidate(l2_line, /*coherence=*/false);
+    invalidateUpperLevels(p, l2_line, /*coherence=*/false);
+    // Keep the directory agreeing with the caches, as an organic
+    // eviction does (fillCoherent).
+    dropFromDirectory(p, l2_line);
 }
 
 void
@@ -937,8 +889,6 @@ Machine::run(const std::vector<const TraceStream *> &traces,
         sampler_->beginRun(traces.size());
     if (timeline_)
         timeline_->beginRun();
-    if (fault_)
-        fault_->beginRun();
 
     try {
         runSeq(traces.size());

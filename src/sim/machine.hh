@@ -110,7 +110,6 @@ struct MachineConfig
                                  std::size_t l2_bytes) const;
 };
 
-class FaultPlan;
 class InvariantChecker;
 
 class Machine
@@ -150,14 +149,6 @@ class Machine
                        const std::string &prefix = "") const;
 
     const MachineConfig &config() const { return cfg_; }
-
-    /**
-     * Attach a deterministic fault plan (sim/fault.hh). The plan must
-     * outlive the machine's use of it; pass nullptr to detach. Decisions
-     * are keyed on per-processor trace positions, never on the
-     * interleaving.
-     */
-    void setFaultPlan(FaultPlan *plan) { fault_ = plan; }
 
     /**
      * Attach an invariant checker (sim/check.hh, the --check flag). The
@@ -235,10 +226,10 @@ class Machine
     // The model checker synthesizes protocol events instead of replaying
     // workload traces, but every transition must run through the *real*
     // pipelines above. These hooks expose a side-effect-free stepping
-    // API: no sampler, timeline, fault plan or trace stream is involved,
-    // and the only state that changes is what the pipelines themselves
-    // touch. Timing and statistics still accrue (they are protocol-
-    // irrelevant and the checker ignores them).
+    // API: no sampler, timeline or trace stream is involved, and the
+    // only state that changes is what the pipelines themselves touch.
+    // Timing and statistics still accrue (they are protocol-irrelevant
+    // and the checker ignores them).
 
     /**
      * Arm manual stepping: cold-start the memory state (caches,
@@ -257,8 +248,9 @@ class Machine
      */
     void modelStep(ProcId p, const TraceEntry &e);
 
-    /** Force-evict the coherent line of @p addr from @p p's caches (the
-     * fault-injection eviction path, directory kept in sync). */
+    /** Force-evict the coherent line of @p addr (plus its upper-level
+     * sublines) from @p p's own caches, keeping the directory in sync
+     * (the model's evict event). */
     void modelEvict(ProcId p, Addr addr);
 
     /** Load a processor's lock-continuation flags (blocked spinner /
@@ -373,11 +365,6 @@ class Machine
      */
     void fillCoherent(ProcId p, Addr addr, bool dirty);
 
-    /** Fault hook: force-evict the coherent line of @p addr (plus its
-     * upper-level sublines) from p's own caches, keeping the directory in
-     * sync. */
-    void faultEvict(ProcId p, Addr addr);
-
     void fillL1(ProcId p, Addr addr);
 
     /**
@@ -429,10 +416,6 @@ class Machine
     void doRead(ProcId p, const TraceEntry &e);
     void doWrite(ProcId p, const TraceEntry &e);
     void doBusy(ProcId p, const TraceEntry &e);
-    /** Fault hook: apply a LockPreempt hold-time stretch (if the plan
-     * schedules one for this release) before the release store. */
-    void preemptRelease(ProcId p);
-
     void doLockAcq(ProcId p, const TraceEntry &e);
     void doLockRel(ProcId p, const TraceEntry &e);
 
@@ -465,7 +448,6 @@ class Machine
     std::vector<ProcRun> runs_;
     obs::Sampler *sampler_ = nullptr;   ///< valid during run()
     obs::Timeline *timeline_ = nullptr; ///< valid during run()
-    FaultPlan *fault_ = nullptr;        ///< optional, not owned
     InvariantChecker *checker_ = nullptr; ///< optional, not owned
     obs::MemProfile *prof_ = nullptr;     ///< optional, not owned
     /** Word-granular sharing tracker; exists only while prof_ is set. */

@@ -85,8 +85,10 @@ std::string
 PlacementSpec::str() const
 {
     std::string out = placementKindName(kind);
-    if (node)
-        out += ":" + std::to_string(*node);
+    if (node) {
+        out += ':';
+        out += std::to_string(*node);
+    }
     return out;
 }
 
@@ -252,8 +254,7 @@ PlacementPolicy::beginRun(const std::vector<const TraceStream *> &traces)
 
     // Pass 2: first-touch claims, in (trace position, processor) order.
     // Position-major iteration makes "first" a pure function of the
-    // traces, independent of simulated timing (the same argument the
-    // fault planner uses).
+    // traces, independent of simulated timing.
     std::size_t longest = 0;
     for (const TraceStream *t : traces)
         if (t)

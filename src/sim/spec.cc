@@ -141,7 +141,7 @@ modernPreset()
 std::vector<std::string>
 machinePresetNames()
 {
-    return {"paper1997", "modern", "scaled64"};
+    return {"paper1997", "modern"};
 }
 
 MachineSpec
@@ -151,11 +151,6 @@ machinePreset(const std::string &name)
         return {"paper1997", MachineConfig::baseline()};
     if (name == "modern")
         return modernPreset();
-    if (name == "scaled64") {
-        MachineSpec spec{"scaled64", MachineConfig::baseline()};
-        spec.config.nprocs = 64;
-        return spec;
-    }
     std::string names;
     for (const std::string &n : machinePresetNames())
         names += (names.empty() ? "" : ", ") + n;

@@ -3,21 +3,14 @@
  * Named machine specifications: presets plus JSON machine-spec files.
  *
  * A MachineSpec is a MachineConfig with a name — the unit the harness's
- * `--machine=<preset|file.json>` flag selects. Three presets ship:
+ * `--machine=<preset|file.json>` flag selects. Two presets ship:
  *
  *  - `paper1997`  the paper's baseline CC-NUMA machine, bit-identical to
  *                 MachineConfig::baseline() (the default);
  *  - `modern`     a three-level chain — 32 KB/64 B/8-way L1, 256 KB 8-way
  *                 L2, 8 MB 16-way LLC — over the same CC-NUMA
  *                 interconnect, for LLC-era replays of the paper's
- *                 questions;
- *  - `scaled64`   the paper's caches on 64 nodes (the directory's full
- *                 sharer-mask width). The benches trace 4 processors and
- *                 replay them on its 64 nodes, so 60 processors idle and
- *                 the preset only spreads page homes; throughput_stream's
- *                 open-loop points are the exception and admit queries
- *                 onto all 64. The processor-scaling study is
- *                 ablation_scaling.
+ *                 questions.
  *
  * Anything else is a path to a JSON file in the same schema that
  * obs-layer reports embed as their "config" block (obs::toJson of a

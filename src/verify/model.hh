@@ -14,7 +14,7 @@
  * driven through the real sim:: pipelines via Machine's model-stepping
  * hooks. A transition is (abstract state) -> load into a scratch Machine
  * -> one synthesized event through the real readAccess / writeTransaction
- * / rmwAccess / faultEvict / doLockAcq / doLockRel code -> extract the
+ * / rmwAccess / modelEvict / doLockAcq / doLockRel code -> extract the
  * abstract successor. Events are load / store / evict / writeback-drain /
  * lock-acquire / lock-release; no workload trace is involved.
  *
@@ -234,7 +234,7 @@ class ProtocolModel
      * initial state. Busy padding serializes the events under min-clock
      * replay; multi-step lock acquires collapse to one LockAcq entry.
      * Evict and WbDrain events have no trace-level expression (they are
-     * fault/timing effects) and contribute padding only — the JSON
+     * capacity/timing effects) and contribute padding only — the JSON
      * counterexample always lists the exact event sequence.
      */
     std::vector<sim::TraceStream> traces(const std::vector<Event> &events);

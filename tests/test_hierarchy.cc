@@ -157,7 +157,7 @@ TEST(Hierarchy, IntermediateHitCostsItsLatency)
 TEST(MachineSpec, PresetNamesAndDefault)
 {
     const std::vector<std::string> names = machinePresetNames();
-    ASSERT_EQ(names.size(), 3u);
+    ASSERT_EQ(names.size(), 2u);
     EXPECT_EQ(names[0], "paper1997");
     // paper1997 must be *exactly* the legacy baseline: same JSON, so the
     // golden reports cannot tell the spec layer exists.
@@ -174,11 +174,12 @@ TEST(MachineSpec, ModernPresetIsValidThreeLevel)
     EXPECT_NO_THROW(Machine m(spec.config));
 }
 
-TEST(MachineSpec, Scaled64PresetRuns)
+TEST(MachineSpec, SixtyFourNodePaperMachineRuns)
 {
-    const MachineSpec spec = machinePreset("scaled64");
-    EXPECT_EQ(spec.config.nprocs, 64u);
-    Machine m(spec.config);
+    // 64 nodes is the directory's full sharer-mask width.
+    MachineConfig cfg = machinePreset("paper1997").config;
+    cfg.nprocs = 64;
+    Machine m(cfg);
     std::vector<TraceStream> streams(64);
     for (unsigned p = 0; p < 64; ++p)
         streams[p].record(

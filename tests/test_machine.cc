@@ -2,8 +2,12 @@
  * @file
  * Integration tests for the Machine: hand-built traces with known timing
  * and coherence outcomes (the paper's latency table, miss classification,
- * write-buffer stalls, metalock spinning, prefetch behaviour, warm runs).
+ * write-buffer stalls, metalock spinning, prefetch behaviour, warm runs),
+ * and a simulated deadlock surfacing as a typed SimError.
  */
+
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -447,6 +451,40 @@ TEST(MachineConfig, WithCacheSizesKeepsLines)
     EXPECT_EQ(cfg.l2().sizeBytes, 32u << 20);
     EXPECT_EQ(cfg.l1().lineBytes, 32u);
     EXPECT_EQ(cfg.l2().lineBytes, 64u);
+}
+
+TEST(GracefulFailure, DeadlockThrowsSimErrorWithProcessorDump)
+{
+    const MachineConfig cfg = MachineConfig::baseline();
+    constexpr Addr kWord = 0x2000'0000;
+    // Proc 0 acquires and never releases; proc 1 then blocks forever.
+    std::vector<TraceStream> traces;
+    traces.push_back(streamOf({
+        TraceEntry::lockAcq(kWord, DataClass::LockSLock),
+        TraceEntry::busy(50),
+    }));
+    traces.push_back(streamOf({
+        TraceEntry::busy(10),
+        TraceEntry::lockAcq(kWord, DataClass::LockSLock),
+        TraceEntry::busy(50),
+    }));
+    for (ProcId p = 2; p < cfg.nprocs; ++p)
+        traces.push_back(streamOf({TraceEntry::busy(5)}));
+    std::vector<const TraceStream *> ptrs;
+    for (const TraceStream &t : traces)
+        ptrs.push_back(&t);
+
+    Machine m(cfg);
+    try {
+        m.run(ptrs);
+        FAIL() << "deadlocked run returned normally";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
+        dss::obs::Json dump = e.dump(); // operator[] is non-const
+        ASSERT_FALSE(dump["procs"].isNull());
+        EXPECT_EQ(dump["procs"].size(), cfg.nprocs);
+        ASSERT_FALSE(dump["locks"].isNull());
+    }
 }
 
 /** Property sweep: a pure streaming read trace sees exactly one cold miss

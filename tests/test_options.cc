@@ -115,6 +115,13 @@ TEST(BenchOptionsDeath, BadScaleIsFatal)
                 "unknown --scale 'huge'");
 }
 
+TEST(BenchOptionsDeath, MalformedEpochIsFatal)
+{
+    for (const char *v : {"-1", "18446744073709551616"})
+        EXPECT_EXIT(parseArgs({"--epoch", v}), testing::ExitedWithCode(2),
+                    "--epoch needs a positive count");
+}
+
 TEST(BenchOptionsDeath, HelpExitsZero)
 {
     // (usage goes to stdout, which EXPECT_EXIT does not capture — the
@@ -128,57 +135,15 @@ TEST(BenchOptions, DefaultsToPaperScale)
     EXPECT_EQ(o.scale, "paper");
 }
 
-TEST(BenchOptions, CheckAndFaultFlagsParse)
+TEST(BenchOptions, CheckFlagParses)
 {
-    BenchOptions o = parseArgs(
-        {"--check", "--fault-seed", "42", "--fault-rate", "0.01"});
-    EXPECT_TRUE(o.check);
-    EXPECT_EQ(o.faultSeed, 42u);
-    EXPECT_DOUBLE_EQ(o.faultRate, 0.01);
-    EXPECT_EQ(parseArgs({"--fault-seed", "18446744073709551615"}).faultSeed,
-              ~std::uint64_t{0})
-        << "the largest seed parses exactly";
-
-    sim::FaultConfig fc = o.faultConfig();
-    EXPECT_EQ(fc.seed, 42u);
-    EXPECT_DOUBLE_EQ(fc.rate, 0.01);
+    EXPECT_TRUE(parseArgs({"--check"}).check);
 }
 
 TEST(BenchOptions, RobustnessFlagsDefaultOff)
 {
     BenchOptions o = parseArgs({});
     EXPECT_FALSE(o.check);
-    EXPECT_EQ(o.faultSeed, 0u);
-    EXPECT_DOUBLE_EQ(o.faultRate, 0.0);
-}
-
-TEST(BenchOptionsDeath, MalformedFaultRateIsFatal)
-{
-    EXPECT_EXIT(parseArgs({"--fault-rate", "lots"}),
-                testing::ExitedWithCode(2),
-                "--fault-rate needs a probability");
-    EXPECT_EXIT(parseArgs({"--fault-rate", "1.5"}),
-                testing::ExitedWithCode(2),
-                "--fault-rate needs a probability");
-    EXPECT_EXIT(parseArgs({"--fault-rate", "-0.1"}),
-                testing::ExitedWithCode(2),
-                "--fault-rate needs a probability");
-}
-
-TEST(BenchOptionsDeath, MalformedFaultSeedIsFatal)
-{
-    EXPECT_EXIT(parseArgs({"--fault-seed", "12x"}),
-                testing::ExitedWithCode(2),
-                "--fault-seed needs an integer");
-    // Counts take decimal digits only and never wrap: a sign, a space,
-    // a base prefix or a value past 2^64 - 1 is an error.
-    for (const char *v : {"-1", "+7", " 7", "0x10", "18446744073709551616"})
-        EXPECT_EXIT(parseArgs({"--fault-seed", v}),
-                    testing::ExitedWithCode(2),
-                    "--fault-seed needs an integer");
-    for (const char *v : {"-1", "18446744073709551616"})
-        EXPECT_EXIT(parseArgs({"--epoch", v}), testing::ExitedWithCode(2),
-                    "--epoch needs a positive count");
 }
 
 TEST(BenchOptions, PlacementFlagsParse)
@@ -220,8 +185,8 @@ TEST(BenchOptionsDeath, ClassAffinityNodeBeyondTheMachineIsFatal)
 {
     const sim::MachineConfig baseline =
         sim::machinePreset("paper1997").config;
-    const sim::MachineConfig scaled64 =
-        sim::machinePreset("scaled64").config;
+    sim::MachineConfig wide = baseline;
+    wide.nprocs = 64;
     sim::AddressSpace space(64, 64 * 1024, 4 * 1024);
     const BenchOptions node3 =
         parseArgs({"--placement", "class-affinity:3"});
@@ -230,7 +195,7 @@ TEST(BenchOptionsDeath, ClassAffinityNodeBeyondTheMachineIsFatal)
     const BenchOptions node12 =
         parseArgs({"--placement", "class-affinity:12"});
     EXPECT_TRUE(harness::makePlacement(node3, baseline, &space));
-    EXPECT_TRUE(harness::makePlacement(node12, scaled64, &space));
+    EXPECT_TRUE(harness::makePlacement(node12, wide, &space));
     EXPECT_EXIT(harness::makePlacement(node6, baseline, &space),
                 testing::ExitedWithCode(2),
                 "--placement class-affinity:6 names node 6, but the "
@@ -316,9 +281,6 @@ TEST(BenchOptionsDeath, RobustnessFlagsOutsideDeclaredSubsetAreFatal)
     EXPECT_EXIT(parseArgs({"--check"}, BenchOptions::kScale),
                 testing::ExitedWithCode(2),
                 "option '--check' is not supported");
-    EXPECT_EXIT(parseArgs({"--fault-rate", "0.1"}, BenchOptions::kScale),
-                testing::ExitedWithCode(2),
-                "option '--fault-rate' is not supported");
 }
 
 TEST(BenchOptions, StreamFlagsParse)
@@ -335,6 +297,11 @@ TEST(BenchOptions, StreamFlagsParse)
                   .streamInstances,
               4294967295u)
         << "the largest unsigned count parses exactly";
+    EXPECT_EQ(parseArgs({"--stream-seed", "18446744073709551615"},
+                        BenchOptions::kAll | BenchOptions::kStream)
+                  .streamSeed,
+              ~std::uint64_t{0})
+        << "the largest seed parses exactly";
 }
 
 TEST(BenchOptions, StreamFlagsDefault)
@@ -362,7 +329,9 @@ TEST(BenchOptionsDeath, MalformedStreamFlagsAreFatal)
         EXPECT_EXIT(parseArgs({"--stream", v}, f),
                     testing::ExitedWithCode(2),
                     "--stream needs a positive count");
-    for (const char *v : {"-1", "18446744073709551616"})
+    // Counts take decimal digits only and never wrap: a sign, a space,
+    // a base prefix or a value past 2^64 - 1 is an error.
+    for (const char *v : {"-1", "+7", " 7", "0x10", "18446744073709551616"})
         EXPECT_EXIT(parseArgs({"--stream-seed", v}, f),
                     testing::ExitedWithCode(2),
                     "--stream-seed needs an integer");
