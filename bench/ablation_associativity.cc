@@ -8,26 +8,24 @@
  * do not care.
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "harness/bench_main.hh"
 #include "harness/options.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 
 using namespace dss;
 
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Ablation: cache associativity (baseline sizes) "
                  "===\n\n";
 
-    harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
-    session.usePlacement(harness::makePlacement(
-        opts, ctx.config(), &wl.db().space()));
+    harness::Workload wl(tpcd::ScaleConfig::paperScale(),
+                         std::min(4u, ctx.config().nprocs));
 
     for (tpcd::QueryId q : {tpcd::QueryId::Q3, tpcd::QueryId::Q6}) {
         harness::TraceSet traces = wl.trace(q);
@@ -38,14 +36,20 @@ run(harness::BenchContext &ctx)
         {
             std::size_t l1, l2;
         };
-        for (Point p : {Point{1, 2}, Point{2, 2}, Point{4, 4},
-                        Point{8, 8}}) {
+        const Point points[] = {{1, 2}, {2, 2}, {4, 4}, {8, 8}};
+        std::vector<harness::Job> jobs;
+        for (const Point &p : points) {
             sim::MachineConfig cfg = ctx.config();
             cfg.l1().assoc = p.l1;
             cfg.l2().assoc = p.l2;
-            sim::ProcStats agg =
-                harness::runCold(cfg, traces, session.runOptions())
-                    .aggregate();
+            jobs.push_back({tpcd::queryName(q) + "/" + std::to_string(p.l1) +
+                                "-way/" + std::to_string(p.l2) + "-way",
+                            cfg, {&traces}, &wl.db().space()});
+        }
+        const std::vector<sim::SimStats> runs = session.runJobs(jobs);
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            const Point &p = points[i];
+            const sim::ProcStats agg = runs[i].aggregate();
             tab.addRow(
                 {std::to_string(p.l1) + "/" + std::to_string(p.l2),
                  std::to_string(agg.totalCycles()),

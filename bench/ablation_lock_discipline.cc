@@ -10,26 +10,24 @@
  * the paper-observed metadata behaviour that single discipline produces.
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "harness/bench_main.hh"
 #include "harness/options.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 
 using namespace dss;
 
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Ablation: per-rescan lock-manager discipline ===\n\n";
 
-    harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
     const sim::MachineConfig cfg = ctx.config();
-    session.usePlacement(
-        harness::makePlacement(opts, cfg, &wl.db().space()));
+    harness::Workload wl(tpcd::ScaleConfig::paperScale(),
+                         std::min(4u, cfg.nprocs));
     session.wireMemprof(cfg, &wl.db().catalog());
 
     harness::TextTable tab({"query", "relock", "exec cycles", "MSync%",
@@ -38,9 +36,11 @@ run(harness::BenchContext &ctx)
         for (bool relock : {true, false}) {
             harness::TraceSet traces =
                 wl.traceWithLockDiscipline(q, 1, relock);
-            sim::ProcStats agg =
-                harness::runCold(cfg, traces, session.runOptions())
-                    .aggregate();
+            const harness::Job job{tpcd::queryName(q) +
+                                       (relock ? "/relock on" : "/relock off"),
+                                   cfg, {&traces}, &wl.db().space()};
+            const sim::ProcStats agg =
+                session.runJobs({job}).front().aggregate();
             tab.addRow(
                 {tpcd::queryName(q), relock ? "on (paper)" : "off",
                  std::to_string(agg.totalCycles()),

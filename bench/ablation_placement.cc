@@ -22,6 +22,7 @@
  * often), which is visible on the metadata-heavy Q3.
  */
 
+#include <algorithm>
 #include <array>
 #include <iostream>
 #include <string>
@@ -29,7 +30,6 @@
 #include "harness/bench_main.hh"
 #include "harness/options.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 
 using namespace dss;
 
@@ -41,12 +41,9 @@ run(harness::BenchContext &ctx)
 
     std::cout << "=== Ablation: NUMA page-placement policy ===\n\n";
 
-    harness::Workload wl(opts.scaleConfig(), 4);
     const sim::MachineConfig cfg = ctx.config();
+    harness::Workload wl(opts.scaleConfig(), std::min(4u, cfg.nprocs));
     session.wireMemprof(cfg, &wl.db().catalog());
-    const sim::PlacementPolicy::Geometry g{
-        cfg.nprocs, cfg.pageBytes, sim::AddressSpace::kPrivateBase,
-        sim::AddressSpace::kPrivateStride};
 
     const sim::PlacementKind kinds[] = {
         sim::PlacementKind::Interleave, sim::PlacementKind::FirstTouch,
@@ -63,32 +60,18 @@ run(harness::BenchContext &ctx)
                                 "3-hop vs interleave"});
         std::uint64_t base_hop3 = 0;
 
-        for (sim::PlacementKind kind : kinds) {
-            std::unique_ptr<sim::PlacementPolicy> policy;
-            switch (kind) {
-              case sim::PlacementKind::Interleave:
-                policy = sim::PlacementPolicy::interleave(g);
-                break;
-              case sim::PlacementKind::FirstTouch:
-                policy = sim::PlacementPolicy::firstTouch(g);
-                break;
-              case sim::PlacementKind::ClassAffinity:
-                policy =
-                    sim::PlacementPolicy::classAffinity(g, wl.db().space());
-                break;
-              case sim::PlacementKind::Profile:
-                policy = sim::PlacementPolicy::profile(g);
-                break;
-            }
-
-            harness::RunOptions ro = session.runOptions();
-            ro.placement = policy.get();
-            sim::SimStats stats = harness::runCold(cfg, traces, ro);
-            const std::string label = std::string(tpcd::queryName(q)) +
-                                      "/" + policy->name();
-            session.addRun(label, stats);
-
-            sim::ProcStats agg = stats.aggregate();
+        std::vector<harness::Job> jobs;
+        for (sim::PlacementKind kind : kinds)
+            jobs.push_back({tpcd::queryName(q) + "/" +
+                                sim::placementKindName(kind),
+                            cfg, {&traces}, &wl.db().space(),
+                            sim::PlacementSpec{kind}});
+        const std::vector<sim::SimStats> runs = session.runJobs(jobs);
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            const sim::PlacementKind kind = kinds[i];
+            const char *name = sim::placementKindName(kind);
+            const sim::SimStats &stats = runs[i];
+            const sim::ProcStats agg = stats.aggregate();
             std::array<std::uint64_t, sim::ProcStats::kNumHopClasses>
                 hops{};
             for (std::size_t h = 0; h < hops.size(); ++h)
@@ -104,7 +87,7 @@ run(harness::BenchContext &ctx)
                            static_cast<double>(base_hop3)) /
                           static_cast<double>(base_hop3)
                     : 0.0;
-            tab.addRow({policy->name(), std::to_string(tb.total),
+            tab.addRow({name, std::to_string(tb.total),
                         harness::fixed(100 * tb.busy),
                         harness::fixed(100 * tb.mem),
                         harness::fixed(100 * tb.msync),
@@ -115,7 +98,7 @@ run(harness::BenchContext &ctx)
             if (session.wantJson()) {
                 obs::Json row = obs::Json::object();
                 row["query"] = tpcd::queryName(q);
-                row["policy"] = policy->name();
+                row["policy"] = name;
                 row["execCycles"] = tb.total;
                 row["busyPct"] = 100 * tb.busy;
                 row["memPct"] = 100 * tb.mem;

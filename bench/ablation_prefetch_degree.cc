@@ -6,48 +6,49 @@
  * 32-byte L1 lines, while the Index query only accumulates pollution.
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "harness/bench_main.hh"
 #include "harness/options.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 
 using namespace dss;
 
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Ablation: sequential prefetch degree (exec time, "
                  "Base=100) ===\n\n";
 
-    harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
-    session.usePlacement(harness::makePlacement(
-        opts, ctx.config(), &wl.db().space()));
-    session.wireMemprof(ctx.config(),
-                        &wl.db().catalog());
+    harness::Workload wl(tpcd::ScaleConfig::paperScale(),
+                         std::min(4u, ctx.config().nprocs));
+    session.wireMemprof(ctx.config(), &wl.db().catalog());
 
     harness::TextTable tab(
         {"query", "degree 0", "1", "2", "4", "8", "16"});
     for (tpcd::QueryId q : {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
                             tpcd::QueryId::Q12}) {
         harness::TraceSet traces = wl.trace(q);
-        double base = 0;
-        std::vector<std::string> row{tpcd::queryName(q)};
+        std::vector<harness::Job> jobs;
         for (unsigned degree : {0u, 1u, 2u, 4u, 8u, 16u}) {
             sim::MachineConfig cfg = ctx.config();
             cfg.prefetchData = degree > 0;
             cfg.prefetchDegree = degree;
-            sim::ProcStats agg =
-                harness::runCold(cfg, traces, session.runOptions())
-                    .aggregate();
-            if (degree == 0)
-                base = static_cast<double>(agg.totalCycles());
-            row.push_back(harness::fixed(
-                100.0 * static_cast<double>(agg.totalCycles()) / base));
+            jobs.push_back({tpcd::queryName(q) + "/degree " +
+                                std::to_string(degree),
+                            cfg, {&traces}, &wl.db().space()});
         }
+        const std::vector<sim::SimStats> runs = session.runJobs(jobs);
+        // Degree 0 (no prefetching) is the base.
+        const auto base =
+            static_cast<double>(runs.front().aggregate().totalCycles());
+        std::vector<std::string> row{tpcd::queryName(q)};
+        for (const sim::SimStats &s : runs)
+            row.push_back(harness::fixed(
+                100.0 * static_cast<double>(s.aggregate().totalCycles()) /
+                base));
         tab.addRow(std::move(row));
     }
     tab.print(std::cout);

@@ -15,14 +15,12 @@
 #include "harness/bench_main.hh"
 #include "harness/options.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 
 using namespace dss;
 
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Ablation: inter-query workload vs. processor count "
                  "===\n\n";
@@ -39,14 +37,11 @@ run(harness::BenchContext &ctx)
             // Re-arms per sweep point: the JSON memprof block
             // reports the last point's profile.
             session.wireMemprof(cfg, &wl.db().catalog());
-            // The machine geometry changes per point, so the placement
-            // policy is rebuilt here rather than adopted by the session.
-            auto placement =
-                harness::makePlacement(opts, cfg, &wl.db().space());
-            harness::RunOptions ro = session.runOptions();
-            ro.placement = placement.get();
-            sim::SimStats stats = harness::runCold(cfg, traces, ro);
-            sim::ProcStats agg = stats.aggregate();
+            const harness::Job job{tpcd::queryName(q) + "/" +
+                                       std::to_string(nprocs) + " procs",
+                                   cfg, {&traces}, &wl.db().space()};
+            const sim::SimStats stats = session.runJobs({job}).front();
+            const sim::ProcStats agg = stats.aggregate();
 
             std::uint64_t cohe = 0;
             for (std::size_t c = 0; c < sim::kNumDataClasses; ++c) {

@@ -11,7 +11,6 @@
 #include "harness/bench_main.hh"
 #include "harness/options.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "tpcd/updates.hh"
 
 using namespace dss;
@@ -36,7 +35,6 @@ traceUF1(tpcd::TpcdDb &db, unsigned orders)
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Ablation: write-buffer depth ===\n\n";
 
@@ -54,16 +52,20 @@ run(harness::BenchContext &ctx)
           {"UF1 (write-heavy, 1 proc)", &uf1, 1u, &update_db.space()}}) {
         harness::TextTable tab({"entries", "exec cycles", "overflows",
                                 "Mem%"});
-        for (std::size_t entries : {1, 4, 16, 64}) {
+        const std::size_t depths[] = {1, 4, 16, 64};
+        std::vector<harness::Job> jobs;
+        for (std::size_t entries : depths) {
             sim::MachineConfig cfg = ctx.config();
             cfg.nprocs = procs;
             cfg.writeBufferEntries = entries;
-            // Geometry (nprocs) and address space differ per workload.
-            auto placement = harness::makePlacement(opts, cfg, space);
-            harness::RunOptions ro = session.runOptions();
-            ro.placement = placement.get();
-            sim::ProcStats agg =
-                harness::runCold(cfg, *traces, ro).aggregate();
+            jobs.push_back({std::string(name) + "/" +
+                                std::to_string(entries) + " entries",
+                            cfg, {traces}, space});
+        }
+        const std::vector<sim::SimStats> runs = session.runJobs(jobs);
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            const std::size_t entries = depths[i];
+            const sim::ProcStats agg = runs[i].aggregate();
             tab.addRow({std::to_string(entries),
                         std::to_string(agg.totalCycles()),
                         std::to_string(agg.wbOverflows),

@@ -13,46 +13,50 @@
  * Data-cold-miss character as the inter-query Sequential workload.
  */
 
+#include <algorithm>
 #include <iostream>
+#include <string>
 
 #include "harness/bench_main.hh"
 #include "harness/options.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 
 using namespace dss;
 
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Extension: intra-query parallelism for Q6 ===\n\n";
 
-    harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
     const sim::MachineConfig cfg = ctx.config();
-    session.usePlacement(
-        harness::makePlacement(opts, cfg, &wl.db().space()));
+    const unsigned nprocs = std::min(4u, cfg.nprocs);
+    harness::Workload wl(tpcd::ScaleConfig::paperScale(), nprocs);
     session.wireMemprof(cfg, &wl.db().catalog());
+    auto run_cold = [&](const std::string &label,
+                        const harness::TraceSet &traces) {
+        return session.runJobs({{label, cfg, {&traces}, &wl.db().space()}})
+            .front();
+    };
 
     // (a) One processor runs the whole Q6.
     harness::TraceSet solo;
     solo.push_back(wl.traceOne(tpcd::QueryId::Q6, 0, 7919));
-    sim::SimStats s_solo = harness::runCold(cfg, solo, session.runOptions());
+    const sim::SimStats s_solo = run_cold("Q6/solo", solo);
 
-    // (b) Inter-query: four independent Q6 instances (the paper's setup).
+    // (b) Inter-query: one independent Q6 instance per processor (the
+    // paper's setup).
     harness::TraceSet inter = wl.trace(tpcd::QueryId::Q6, 1);
-    sim::SimStats s_inter =
-        harness::runCold(cfg, inter, session.runOptions());
+    const sim::SimStats s_inter = run_cold("Q6/inter-query", inter);
 
-    // (c) Intra-query: one Q6 split into four block-range partitions.
+    // (c) Intra-query: one Q6 split into per-processor block-range
+    // partitions.
     harness::TraceSet intra = wl.traceIntraQueryQ6(1);
-    sim::SimStats s_intra =
-        harness::runCold(cfg, intra, session.runOptions());
+    const sim::SimStats s_intra = run_cold("Q6/intra-query", intra);
 
     harness::TextTable tab({"setup", "exec cycles", "speedup vs 1-proc",
                             "L2 Data misses", "L2 Cohe misses"});
-    auto row = [&](const char *name, const sim::SimStats &s) {
+    auto row = [&](const std::string &name, const sim::SimStats &s) {
         sim::ProcStats agg = s.aggregate();
         std::uint64_t cohe = 0;
         for (std::size_t c = 0; c < sim::kNumDataClasses; ++c) {
@@ -68,9 +72,10 @@ run(harness::BenchContext &ctx)
                         agg.l2Misses().byGroup(sim::ClassGroup::Data)),
                     std::to_string(cohe)});
     };
+    const std::string n = std::to_string(nprocs);
     row("1 proc, whole Q6      ", s_solo);
-    row("4 procs, 4 Q6 queries ", s_inter);
-    row("4 procs, 1 Q6 split   ", s_intra);
+    row(n + " procs, " + n + " Q6 queries ", s_inter);
+    row(n + " procs, 1 Q6 split   ", s_intra);
     tab.print(std::cout);
 
     std::cout << "\nNote: 'speedup' for the inter-query row is throughput "

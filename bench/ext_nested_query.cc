@@ -13,26 +13,24 @@
  * MSync appears.
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "harness/bench_main.hh"
 #include "harness/options.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 
 using namespace dss;
 
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Extension: flat vs. nested Q4 ===\n\n";
 
-    harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
     const sim::MachineConfig cfg = ctx.config();
-    session.usePlacement(
-        harness::makePlacement(opts, cfg, &wl.db().space()));
+    harness::Workload wl(tpcd::ScaleConfig::paperScale(),
+                         std::min(4u, cfg.nprocs));
     session.wireMemprof(cfg, &wl.db().catalog());
 
     harness::TraceSet flat = wl.trace(tpcd::QueryId::Q4, 1);
@@ -44,12 +42,13 @@ run(harness::BenchContext &ctx)
     harness::TextTable tab({"variant", "exec cycles", "Busy%", "Mem%",
                             "MSync%", "L2 Data%", "L2 Index%",
                             "L2 Meta%"});
-    for (auto [name, traces] :
-         {std::pair<const char *, harness::TraceSet *>{"flat Q4", &flat},
-          {"nested Q4 (EXISTS)", &nested}}) {
-        sim::ProcStats agg =
-            harness::runCold(cfg, *traces, session.runOptions())
-                .aggregate();
+    const char *const names[] = {"flat Q4", "nested Q4 (EXISTS)"};
+    const std::vector<sim::SimStats> runs = session.runJobs(
+        {{names[0], cfg, {&flat}, &wl.db().space()},
+         {names[1], cfg, {&nested}, &wl.db().space()}});
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const char *name = names[i];
+        const sim::ProcStats agg = runs[i].aggregate();
         const double total = static_cast<double>(agg.totalCycles());
         const double misses =
             std::max(1.0, static_cast<double>(agg.l2Misses().total()));

@@ -17,7 +17,6 @@
 #include "harness/bench_main.hh"
 #include "harness/options.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 #include "tpcd/updates.hh"
 
 using namespace dss;
@@ -55,7 +54,6 @@ traceUpdate(tpcd::TpcdDb &db, bool uf1, unsigned orders, std::uint64_t seed)
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Extension: TPC-D update functions UF1 / UF2 "
                  "(single processor) ===\n\n";
@@ -67,7 +65,6 @@ run(harness::BenchContext &ctx)
 
     sim::MachineConfig cfg = ctx.config();
     cfg.nprocs = 1;
-    session.usePlacement(harness::makePlacement(opts, cfg, &db.space()));
     session.wireMemprof(cfg, &db.catalog());
 
     // A rival transaction holds the orders relation write-locked, so the
@@ -97,9 +94,8 @@ run(harness::BenchContext &ctx)
         }
         harness::TraceSet set;
         set.push_back(std::move(trace));
-        sim::SimStats stats =
-            harness::runCold(cfg, set, session.runOptions());
-        sim::ProcStats agg = stats.aggregate();
+        const harness::Job job{uf1 ? "UF1" : "UF2", cfg, {&set}, &db.space()};
+        const sim::ProcStats agg = session.runJobs({job}).front().aggregate();
         auto counts = set[0].counts();
         tab.addRow(
             {uf1 ? "UF1 (insert)" : "UF2 (delete)", std::to_string(batch),

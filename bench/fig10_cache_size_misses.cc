@@ -18,12 +18,12 @@
  * barely gain SMem because database data has no intra-query reuse.
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "harness/bench_main.hh"
 #include "harness/options.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 
 using namespace dss;
 
@@ -55,14 +55,12 @@ sizeName(std::size_t bytes)
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Figure 10: misses vs. cache size (baseline "
                  "4K/128K = 100) ===\n\n";
 
-    harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
-    session.usePlacement(harness::makePlacement(
-        opts, ctx.config(), &wl.db().space()));
+    harness::Workload wl(tpcd::ScaleConfig::paperScale(),
+                         std::min(4u, ctx.config().nprocs));
 
     const tpcd::QueryId queries[] = {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
                                      tpcd::QueryId::Q12};
@@ -70,14 +68,16 @@ run(harness::BenchContext &ctx)
     for (tpcd::QueryId q : queries) {
         harness::TraceSet traces = wl.trace(q);
         std::vector<harness::SweepPoint> &points = sweeps.emplace_back();
+        std::vector<harness::Job> jobs;
         for (const SizePoint &sp : kSizes) {
-            const std::string label = sizeName(sp.l1) + "/" + sizeName(sp.l2);
-            const sim::SimStats stats =
-                harness::runCold(ctx.config().withCacheSizes(sp.l1, sp.l2),
-                                 traces, session.runOptions());
-            session.addRun(tpcd::queryName(q) + "/" + label, stats);
-            points.push_back({label, stats.aggregate()});
+            points.push_back({sizeName(sp.l1) + "/" + sizeName(sp.l2), {}});
+            jobs.push_back({tpcd::queryName(q) + "/" + points.back().label,
+                            ctx.config().withCacheSizes(sp.l1, sp.l2),
+                            {&traces}, &wl.db().space()});
         }
+        const std::vector<sim::SimStats> stats = session.runJobs(jobs);
+        for (std::size_t i = 0; i < stats.size(); ++i)
+            points[i].stats = stats[i].aggregate();
     }
 
     for (std::size_t i = 0; i < sweeps.size(); ++i)

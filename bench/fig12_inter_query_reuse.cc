@@ -12,12 +12,12 @@
  * Q3 warms Q12 barely.
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "harness/bench_main.hh"
 #include "harness/options.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 
 using namespace dss;
 
@@ -78,11 +78,9 @@ run(harness::BenchContext &ctx)
     std::cout << "=== Figure 12: secondary-cache misses with warm caches "
                  "(1M L1 / 32M L2; cold run = 100) ===\n\n";
 
-    harness::Workload wl(opts.scaleConfig(), 4);
-    sim::MachineConfig cfg = ctx.config().withCacheSizes(
-        1 << 20, 32 << 20);
-    session.usePlacement(
-        harness::makePlacement(opts, cfg, &wl.db().space()));
+    const sim::MachineConfig cfg =
+        ctx.config().withCacheSizes(1 << 20, 32 << 20);
+    harness::Workload wl(opts.scaleConfig(), std::min(4u, cfg.nprocs));
     session.wireMemprof(cfg, &wl.db().catalog());
 
     // Distinct parameter seeds: the warm-up query is "the same query using
@@ -102,17 +100,20 @@ run(harness::BenchContext &ctx)
     obs::Json &figure = session.extra();
     auto run_group = [&](const char *title, const Case (&cases)[3]) {
         std::cout << title << '\n';
-        obs::Json rows = obs::Json::array();
-        double base = 1;
+        std::vector<harness::Job> jobs;
         for (const Case &c : cases) {
             std::vector<const harness::TraceSet *> seq;
             if (c.warm)
                 seq.push_back(c.warm);
             seq.push_back(c.measured);
-            std::vector<sim::SimStats> all =
-                harness::runSequence(cfg, seq, session.runOptions());
-            const sim::SimStats &measured = all.back();
-            session.addRun(trimmed(c.label), measured);
+            jobs.push_back({trimmed(c.label), cfg, seq, &wl.db().space()});
+        }
+        const std::vector<sim::SimStats> runs = session.runJobs(jobs);
+        obs::Json rows = obs::Json::array();
+        double base = 1;
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            const Case &c = cases[i];
+            const sim::SimStats &measured = runs[i];
             if (!c.warm) {
                 base = std::max<double>(
                     1.0, static_cast<double>(

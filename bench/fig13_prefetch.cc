@@ -11,27 +11,25 @@
  * primary cache).
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "harness/bench_main.hh"
 #include "harness/options.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 
 using namespace dss;
 
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Figure 13: sequential data prefetching (Base = 100) "
                  "===\n\n";
 
-    harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
     const sim::MachineConfig base_cfg = ctx.config();
-    session.usePlacement(
-        harness::makePlacement(opts, base_cfg, &wl.db().space()));
+    harness::Workload wl(tpcd::ScaleConfig::paperScale(),
+                         std::min(4u, base_cfg.nprocs));
     session.wireMemprof(base_cfg, &wl.db().catalog());
     sim::MachineConfig opt_cfg = base_cfg;
     opt_cfg.prefetchData = true;
@@ -43,12 +41,12 @@ run(harness::BenchContext &ctx)
     for (tpcd::QueryId q : {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
                             tpcd::QueryId::Q12}) {
         harness::TraceSet traces = wl.trace(q);
-        sim::ProcStats base =
-            harness::runCold(base_cfg, traces, session.runOptions())
-                .aggregate();
-        sim::ProcStats opt =
-            harness::runCold(opt_cfg, traces, session.runOptions())
-                .aggregate();
+        const std::string name = tpcd::queryName(q);
+        const std::vector<sim::SimStats> runs = session.runJobs(
+            {{name + "/Base", base_cfg, {&traces}, &wl.db().space()},
+             {name + "/Opt", opt_cfg, {&traces}, &wl.db().space()}});
+        const sim::ProcStats base = runs[0].aggregate();
+        const sim::ProcStats opt = runs[1].aggregate();
 
         const double denom = static_cast<double>(base.totalCycles());
         auto row = [&](const char *cfg_name, const sim::ProcStats &s) {
@@ -56,7 +54,7 @@ run(harness::BenchContext &ctx)
                 return harness::fixed(
                     100.0 * static_cast<double>(c) / denom, 1);
             };
-            tab.addRow({tpcd::queryName(q), cfg_name, n(s.busy),
+            tab.addRow({name, cfg_name, n(s.busy),
                         n(s.pmem()), n(s.smem()), n(s.syncStall),
                         n(s.totalCycles()),
                         std::to_string(s.prefetchesIssued),

@@ -19,12 +19,12 @@
  * Q6/Q12 are overwhelmingly Data/Cold.
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "harness/bench_main.hh"
 #include "harness/options.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 
 using namespace dss;
 
@@ -37,10 +37,8 @@ run(harness::BenchContext &ctx)
     std::cout << "=== Figure 6: execution time and memory-stall breakdown "
                  "(baseline machine) ===\n\n";
 
-    harness::Workload wl(opts.scaleConfig(), 4);
     const sim::MachineConfig cfg = ctx.config();
-    session.usePlacement(
-        harness::makePlacement(opts, cfg, &wl.db().space()));
+    harness::Workload wl(opts.scaleConfig(), std::min(4u, cfg.nprocs));
     session.wireMemprof(cfg, &wl.db().catalog());
 
     const tpcd::QueryId queries[] = {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
@@ -48,8 +46,9 @@ run(harness::BenchContext &ctx)
     std::vector<sim::SimStats> runs;
     for (tpcd::QueryId q : queries) {
         harness::TraceSet traces = wl.trace(q);
-        runs.push_back(harness::runCold(cfg, traces, session.runOptions()));
-        session.addRun(tpcd::queryName(q), runs.back());
+        const harness::Job job{tpcd::queryName(q), cfg, {&traces},
+                               &wl.db().space()};
+        runs.push_back(session.runJobs({job}).front());
     }
 
     harness::TextTable fig6a(

@@ -18,12 +18,12 @@
  * secondary-cache lines for all three queries.
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "harness/bench_main.hh"
 #include "harness/options.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 
 using namespace dss;
 
@@ -37,14 +37,12 @@ constexpr std::size_t kBaseline = 2; ///< index of the 64 B L2 line
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Figure 8: misses vs. cache line size (normalized to "
                  "the 64 B-L2-line baseline = 100) ===\n\n";
 
-    harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
-    session.usePlacement(harness::makePlacement(
-        opts, ctx.config(), &wl.db().space()));
+    harness::Workload wl(tpcd::ScaleConfig::paperScale(),
+                         std::min(4u, ctx.config().nprocs));
 
     const tpcd::QueryId queries[] = {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
                                      tpcd::QueryId::Q12};
@@ -52,14 +50,16 @@ run(harness::BenchContext &ctx)
     for (tpcd::QueryId q : queries) {
         harness::TraceSet traces = wl.trace(q);
         std::vector<harness::SweepPoint> &points = sweeps.emplace_back();
+        std::vector<harness::Job> jobs;
         for (std::size_t line : kLineSizes) {
-            const std::string label = std::to_string(line) + "B";
-            const sim::SimStats stats =
-                harness::runCold(ctx.config().withLineSize(line), traces,
-                                 session.runOptions());
-            session.addRun(tpcd::queryName(q) + "/" + label, stats);
-            points.push_back({label, stats.aggregate()});
+            points.push_back({std::to_string(line) + "B", {}});
+            jobs.push_back({tpcd::queryName(q) + "/" + points.back().label,
+                            ctx.config().withLineSize(line), {&traces},
+                            &wl.db().space()});
         }
+        const std::vector<sim::SimStats> stats = session.runJobs(jobs);
+        for (std::size_t i = 0; i < stats.size(); ++i)
+            points[i].stats = stats[i].aggregate();
     }
 
     for (std::size_t i = 0; i < sweeps.size(); ++i)

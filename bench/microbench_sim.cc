@@ -60,8 +60,7 @@ void
 BM_DirectoryTransaction(benchmark::State &state)
 {
     Directory dir(4, 64, LatencyConfig{});
-    auto policy = PlacementPolicy::interleave(
-        {4, 8192, AddressSpace::kPrivateBase, AddressSpace::kPrivateStride});
+    auto policy = PlacementPolicy::interleave({4, 8192});
     Addr a = 0x1000'0000;
     for (auto _ : state) {
         Directory::Entry &e = dir.entry(a);
@@ -78,8 +77,7 @@ BENCHMARK(BM_DirectoryTransaction);
 void
 BM_HomeOfTable(benchmark::State &state)
 {
-    auto policy = PlacementPolicy::firstTouch(
-        {4, 8192, AddressSpace::kPrivateBase, AddressSpace::kPrivateStride});
+    auto policy = PlacementPolicy::firstTouch({4, 8192});
     // Cover the whole touched range so every lookup hits the table: a
     // first-touch run over one reference at the range's last page grows
     // the table through it.

@@ -10,13 +10,13 @@
  * The measured classes should line up with the Table 1 grouping.
  */
 
+#include <algorithm>
 #include <array>
 #include <iostream>
 
 #include "harness/bench_main.hh"
 #include "harness/options.hh"
 #include "harness/report.hh"
-#include "harness/runner.hh"
 
 using namespace dss;
 
@@ -52,10 +52,8 @@ run(harness::BenchContext &ctx)
     scale.suppliers = 20;
     if (opts.scale == "tiny")
         scale = tpcd::ScaleConfig::tiny();
-    harness::Workload wl(scale, 4);
     const sim::MachineConfig cfg = ctx.config();
-    session.usePlacement(
-        harness::makePlacement(opts, cfg, &wl.db().space()));
+    harness::Workload wl(scale, std::min(4u, cfg.nprocs));
     session.wireMemprof(cfg, &wl.db().catalog());
 
     harness::TextTable tab({"query", "Data% of shared L2 misses",
@@ -71,10 +69,9 @@ run(harness::BenchContext &ctx)
     for (int qi = 1; qi <= tpcd::kNumQueries; ++qi) {
         auto q = static_cast<tpcd::QueryId>(qi);
         harness::TraceSet traces = wl.trace(q);
-        sim::SimStats stats =
-            harness::runCold(cfg, traces, session.runOptions());
-        session.addRun(tpcd::queryName(q), stats);
-        sim::ProcStats agg = stats.aggregate();
+        const harness::Job job{tpcd::queryName(q), cfg, {&traces},
+                               &wl.db().space()};
+        const sim::ProcStats agg = session.runJobs({job}).front().aggregate();
         for (std::size_t g = 0; g < sim::kNumClassGroups; ++g)
             for (std::size_t h = 0; h < sim::ProcStats::kNumHopClasses;
                  ++h)

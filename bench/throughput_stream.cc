@@ -69,10 +69,7 @@ run(harness::BenchContext &ctx)
     // machine's.
     harness::Workload wl(opts.scaleConfig(),
                          std::max(4u, ctx.config().nprocs));
-    session.usePlacement(
-        harness::makePlacement(opts, ctx.config(), &wl.db().space()));
-    session.wireMemprof(ctx.config(),
-                        &wl.db().catalog());
+    session.wireMemprof(ctx.config(), &wl.db().catalog());
 
     // One shared cache across every sweep point: captures are pure, so
     // entries are valid wherever the key recurs.
@@ -84,6 +81,20 @@ run(harness::BenchContext &ctx)
     base.policy = *policy;
 
     obs::Json &figure = session.extra();
+
+    // One stream on a fresh machine with its own placement policy and the
+    // session's observers; @p registry receives the end-of-stream
+    // snapshot when --json.
+    auto run_stream = [&](const sim::MachineConfig &cfg,
+                          const sched::StreamConfig &scfg,
+                          obs::Json &registry) {
+        const std::unique_ptr<sim::PlacementPolicy> placement =
+            harness::makePlacement(opts.placement, cfg, &wl.db().space());
+        harness::RunOptions ro = session.observers();
+        ro.placement = placement.get();
+        ro.registrySnapshot = session.wantJson() ? &registry : nullptr;
+        return sched::StreamScheduler(wl, cfg, scfg, ro, &cache).run();
+    };
 
     // Solo calibration anchors: one single-instance stream per traced
     // query fills the report's standard "runs" array (the schema
@@ -97,23 +108,18 @@ run(harness::BenchContext &ctx)
         solo.instances = 1;
         solo.mix = {{q, 1}};
         solo.paramVariants = 1;
-        sched::StreamScheduler sch(wl, ctx.config(), solo,
-                                   session.runOptions(), &cache);
-        session.addRun("solo " + tpcd::queryName(q),
-                       sch.run().records.front().stats);
+        obs::Json registry;
+        const sim::SimStats stats =
+            run_stream(ctx.config(), solo, registry).records.front().stats;
+        session.record("solo " + tpcd::queryName(q), stats,
+                       std::move(registry));
     }
 
     auto runPoint = [&](const std::string &label,
                         const sim::MachineConfig &cfg,
                         const sched::StreamConfig &scfg) {
-        harness::RunOptions ro = session.runOptions();
-        std::unique_ptr<sim::PlacementPolicy> pol =
-            harness::makePlacement(opts, cfg, &wl.db().space());
-        ro.placement = pol.get();
         obs::Json registry;
-        ro.registrySnapshot = session.wantJson() ? &registry : nullptr;
-        sched::StreamScheduler sch(wl, cfg, scfg, ro, &cache);
-        const sched::StreamResult r = sch.run();
+        const sched::StreamResult r = run_stream(cfg, scfg, registry);
         printPoint(label, r);
         if (session.wantJson()) {
             obs::Json point = toJson(r, /*include_run_stats=*/false);

@@ -6,6 +6,7 @@
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <type_traits>
 
 #include "obs/stats_json.hh"
@@ -246,23 +247,19 @@ BenchOptions::scaleConfig() const
 }
 
 std::unique_ptr<sim::PlacementPolicy>
-makePlacement(const BenchOptions &opts, const sim::MachineConfig &cfg,
+makePlacement(const sim::PlacementSpec &spec, const sim::MachineConfig &cfg,
               const sim::AddressSpace *space)
 {
     // parse() cannot tell whether the machine has the node: the bench
     // picks its machine later, and some shrink it below --machine.
-    const std::optional<sim::ProcId> node = opts.placement.node;
-    if (node && *node >= cfg.nprocs) {
-        std::cerr << "--placement " << opts.placement.str()
-                  << " names node " << *node
-                  << ", but the machine's node count is " << cfg.nprocs
-                  << '\n';
+    if (spec.node && *spec.node >= cfg.nprocs) {
+        std::cerr << "--placement " << spec.str() << " names node "
+                  << *spec.node << ", but the machine's node count is "
+                  << cfg.nprocs << '\n';
         std::exit(2);
     }
-    const sim::PlacementPolicy::Geometry g{
-        cfg.nprocs, cfg.pageBytes, sim::AddressSpace::kPrivateBase,
-        sim::AddressSpace::kPrivateStride};
-    return sim::PlacementPolicy::make(opts.placement, g, space);
+    return sim::PlacementPolicy::make(spec, {cfg.nprocs, cfg.pageBytes},
+                                      space);
 }
 
 ObsSession::ObsSession(std::string bench_name, BenchOptions opts)
@@ -289,40 +286,53 @@ ObsSession::wireMemprof(const sim::MachineConfig &cfg,
         catalog->describeRegions(symbols_);
 }
 
+std::vector<sim::SimStats>
+ObsSession::runJobs(const std::vector<Job> &jobs)
+{
+    std::vector<sim::SimStats> out;
+    out.reserve(jobs.size());
+    for (const Job &job : jobs) {
+        if (job.sequence.empty())
+            throw std::invalid_argument("job '" + job.label +
+                                        "' has no trace sets");
+        const std::unique_ptr<sim::PlacementPolicy> placement =
+            makePlacement(job.placement.value_or(opts_.placement), job.cfg,
+                          job.space);
+        RunOptions ro = observers();
+        ro.placement = placement.get();
+        if (job.memProfile)
+            ro.memProfile = job.memProfile;
+        obs::Json counters;
+        if (wantJson())
+            ro.registrySnapshot = &counters;
+        out.push_back(runSequence(job.cfg, job.sequence, ro).back());
+        record(job.label, out.back(), std::move(counters));
+    }
+    return out;
+}
+
 RunOptions
-ObsSession::runOptions()
+ObsSession::observers() const
 {
     RunOptions ro;
-    ro.sampler = sampler();
-    ro.timeline = timeline();
-    ro.registrySnapshot = registrySlot();
+    ro.sampler = sampler_.get();
+    ro.timeline = timeline_.get();
     ro.checker = checker_.get();
-    ro.placement = placement_.get();
     ro.memProfile = memProfile_.get();
     return ro;
 }
 
-obs::Json *
-ObsSession::registrySlot()
-{
-    if (!wantJson())
-        return nullptr;
-    pendingRegistry_ = obs::Json();
-    return &pendingRegistry_;
-}
-
 void
-ObsSession::addRun(const std::string &label, const sim::SimStats &stats)
+ObsSession::record(const std::string &label, const sim::SimStats &stats,
+                   obs::Json counters)
 {
     if (!wantJson())
         return;
     obs::Json run = obs::Json::object();
     run["label"] = label;
     run["stats"] = obs::toJson(stats);
-    if (!pendingRegistry_.isNull()) {
-        run["counters"] = std::move(pendingRegistry_);
-        pendingRegistry_ = obs::Json();
-    }
+    if (!counters.isNull())
+        run["counters"] = std::move(counters);
     runs_.push(std::move(run));
 }
 

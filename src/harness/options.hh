@@ -28,16 +28,18 @@
  *                    bit — every bench built on harness::benchMain
  *                    accepts it)
  *
- * ObsSession owns the wiring: it hands out the sampler/timeline pointers
- * to pass to the runner, collects per-run stats and registry snapshots,
- * and writes the output files on finish().
+ * ObsSession owns the wiring: runJobs simulates a bench's configurations
+ * with the session's observers, records each run's stats and registry
+ * snapshot, and finish() writes the output files.
  */
 
 #ifndef DSS_HARNESS_OPTIONS_HH
 #define DSS_HARNESS_OPTIONS_HH
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "harness/runner.hh"
 #include "obs/json.hh"
@@ -123,15 +125,33 @@ struct BenchOptions
 };
 
 /**
- * Build the --placement policy for machine @p cfg. class-affinity needs
- * @p space (the workload's address space) and throws std::runtime_error
- * without it — guardedMain turns that into a clean exit 3. A
- * class-affinity node @p cfg lacks is a usage error: it prints the
- * machine's node count and exits(2).
+ * Build the placement policy @p spec names for machine @p cfg.
+ * class-affinity needs @p space (the workload's address space) and throws
+ * std::runtime_error without it — guardedMain turns that into a clean
+ * exit 3. A class-affinity node @p cfg lacks is a usage error: it prints
+ * the machine's node count and exits(2).
  */
 std::unique_ptr<sim::PlacementPolicy>
-makePlacement(const BenchOptions &opts, const sim::MachineConfig &cfg,
+makePlacement(const sim::PlacementSpec &spec, const sim::MachineConfig &cfg,
               const sim::AddressSpace *space);
+
+/**
+ * One configuration to simulate: a machine and the trace sets it
+ * replays in order. One set is a cold run; more than one is a warm chain
+ * (Fig 12), of which only the last run is recorded.
+ */
+struct Job
+{
+    std::string label{}; ///< the run's label in the JSON report
+    sim::MachineConfig cfg{};
+    std::vector<const TraceSet *> sequence{};
+    /** The traced database's address space (class-affinity's class map). */
+    const sim::AddressSpace *space = nullptr;
+    /** Replaces --placement for this job (ablation_placement's sweep). */
+    std::optional<sim::PlacementSpec> placement{};
+    /** Replaces the session's --memprof profile (one per query). */
+    obs::MemProfile *memProfile = nullptr;
+};
 
 /** Observability output for one bench invocation. */
 class ObsSession
@@ -139,67 +159,44 @@ class ObsSession
   public:
     ObsSession(std::string bench_name, BenchOptions opts);
 
-    /** Sampler to pass to the runner; null unless --epoch was given. */
-    obs::Sampler *sampler() { return sampler_.get(); }
+    /**
+     * Simulate each job in order: build its own placement policy, replay
+     * its trace sets on a fresh machine with the session's observers, and
+     * record its last run under its label (with the registry snapshot
+     * taken after that run, when --json). Placement claims therefore
+     * never leak from one job to the next.
+     *
+     * @return each job's last-run statistics, in job order.
+     */
+    std::vector<sim::SimStats> runJobs(const std::vector<Job> &jobs);
 
-    /** Timeline to pass to the runner; null unless --trace was given. */
-    obs::Timeline *timeline() { return timeline_.get(); }
+    /**
+     * The session's observers for a run wired by hand (the stream
+     * scheduler): sampler, timeline, checker and memory profile, each
+     * null unless its flag was given. No placement, no registry slot.
+     */
+    RunOptions observers() const;
 
-    /** Invariant checker; null unless --check was given. */
-    sim::InvariantChecker *checker() { return checker_.get(); }
-
-    /** Line-level memory profile; null unless wireMemprof() armed it. */
-    obs::MemProfile *memProfile() { return memProfile_.get(); }
+    /**
+     * Append one run to the report's "runs" array: @p label, the full
+     * toJson(@p stats) and, unless null, the registry snapshot
+     * @p counters. No-op without --json.
+     */
+    void record(const std::string &label, const sim::SimStats &stats,
+                obs::Json counters);
 
     /**
      * Arm the --memprof profile for machine geometry @p cfg and,
      * when @p catalog is given, load the structure symbol map from it.
      * No-op unless --memprof was passed, so benches can call this
      * unconditionally once the machine config and database exist (and
-     * before the first runOptions()). Every run that uses the profile
-     * must share @p cfg's coherent-level geometry (Machine::setMemProfile
-     * throws otherwise). The report lands in the JSON document's
-     * "memprof" block on finish().
+     * before the first run). Every run that uses the profile must share
+     * @p cfg's coherent-level geometry (Machine::setMemProfile throws
+     * otherwise). The report lands in the JSON document's "memprof"
+     * block on finish().
      */
     void wireMemprof(const sim::MachineConfig &cfg,
                      const db::Catalog *catalog = nullptr);
-
-    /** The profiler's symbol map (filled by wireMemprof). */
-    obs::RegionMap &symbols() { return symbols_; }
-
-    /**
-     * Adopt the --placement policy (normally makePlacement()'s result)
-     * and wire it into every subsequent runOptions(). Benches whose
-     * machine geometry varies per sweep point instead build a policy per
-     * configuration and set RunOptions::placement themselves.
-     */
-    void usePlacement(std::unique_ptr<sim::PlacementPolicy> p)
-    {
-        placement_ = std::move(p);
-    }
-
-    /** The adopted policy; null until usePlacement(). */
-    sim::PlacementPolicy *placement() { return placement_.get(); }
-
-    /**
-     * Everything wired up for one runCold/runSequence call: sampler,
-     * timeline, a fresh registry slot (when --json), the checker,
-     * placement policy and memory profile.
-     */
-    RunOptions runOptions();
-
-    /**
-     * Destination for a runner registry snapshot of the next addRun();
-     * null unless --json was given (snapshots are only kept for JSON).
-     */
-    obs::Json *registrySlot();
-
-    /**
-     * Record one simulated run under @p label. Appends the full
-     * toJson(stats) plus any registry snapshot captured since the last
-     * addRun() to the report's "runs" array.
-     */
-    void addRun(const std::string &label, const sim::SimStats &stats);
 
     /** Free-form extra payload ("figure" data) merged into the report. */
     obs::Json &extra() { return extra_; }
@@ -223,8 +220,6 @@ class ObsSession
     std::unique_ptr<sim::InvariantChecker> checker_;
     std::unique_ptr<obs::MemProfile> memProfile_;
     obs::RegionMap symbols_;
-    std::unique_ptr<sim::PlacementPolicy> placement_;
-    obs::Json pendingRegistry_;
     obs::Json runs_;
     obs::Json extra_;
 };

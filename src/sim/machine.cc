@@ -91,9 +91,8 @@ Machine::Machine(const MachineConfig &cfg)
     nodes_.reserve(cfg_.nprocs);
     for (unsigned p = 0; p < cfg_.nprocs; ++p)
         nodes_.push_back(std::make_unique<Node>(cfg_));
-    defaultPlacement_ = PlacementPolicy::interleave(
-        {cfg_.nprocs, cfg_.pageBytes, AddressSpace::kPrivateBase,
-         AddressSpace::kPrivateStride});
+    defaultPlacement_ =
+        PlacementPolicy::interleave({cfg_.nprocs, cfg_.pageBytes});
     placement_ = defaultPlacement_.get();
 }
 

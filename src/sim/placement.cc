@@ -5,27 +5,10 @@
 #include <map>
 #include <stdexcept>
 
-#include "sim/arena.hh"
 #include "sim/trace.hh"
 
 namespace dss {
 namespace sim {
-
-namespace {
-
-/** log2 of a power of two, -1 otherwise. */
-int
-shiftOf(std::uint64_t v)
-{
-    if (v == 0 || (v & (v - 1)) != 0)
-        return -1;
-    int s = 0;
-    while ((v >>= 1) != 0)
-        ++s;
-    return s;
-}
-
-} // namespace
 
 const char *
 placementKindName(PlacementKind kind)
@@ -93,10 +76,9 @@ PlacementSpec::str() const
 }
 
 PlacementPolicy::PlacementPolicy(PlacementKind kind, const Geometry &g)
-    : kind_(kind), g_(g), pageShift_(shiftOf(g.pageBytes)),
-      privShift_(shiftOf(g.privateStride))
+    : kind_(kind), g_(g), pageShift_(std::countr_zero(g.pageBytes))
 {
-    if (g_.nnodes == 0 || g_.pageBytes == 0 || g_.privateStride == 0)
+    if (g_.nnodes == 0 || !std::has_single_bit(g_.pageBytes))
         throw std::invalid_argument("placement: degenerate geometry");
 }
 
@@ -238,7 +220,7 @@ PlacementPolicy::beginRun(const std::vector<const TraceStream *> &traces)
         if (!t)
             continue;
         for (const TraceEntry &e : t->entries()) {
-            if (e.op == Op::Busy || e.addr >= g_.privateBase)
+            if (e.op == Op::Busy || e.addr >= AddressSpace::kPrivateBase)
                 continue;
             max_idx = std::max(max_idx, pageIndexOf(e.addr));
             any = true;
@@ -264,7 +246,7 @@ PlacementPolicy::beginRun(const std::vector<const TraceStream *> &traces)
             if (!traces[p] || pos >= traces[p]->entries().size())
                 continue;
             const TraceEntry &e = traces[p]->entries()[pos];
-            if (e.op == Op::Busy || e.addr >= g_.privateBase)
+            if (e.op == Op::Busy || e.addr >= AddressSpace::kPrivateBase)
                 continue;
             const std::size_t idx = pageIndexOf(e.addr);
             if (idx >= table_.size() || resolved_[idx])
@@ -288,7 +270,7 @@ PlacementPolicy::claimMajorities(
         if (!traces[p])
             continue;
         for (const TraceEntry &e : traces[p]->entries()) {
-            if (e.op == Op::Busy || e.addr >= g_.privateBase)
+            if (e.op == Op::Busy || e.addr >= AddressSpace::kPrivateBase)
                 continue;
             const std::size_t idx = pageIndexOf(e.addr);
             if (idx >= table_.size() || resolved_[idx])

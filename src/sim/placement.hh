@@ -23,16 +23,17 @@
  *
  * Every policy resolves to the same representation: a flat page-index ->
  * home-node table (precomputed at construction; extended per run only by
- * first-touch and profile), so the homeOf hot path is a single
- * bounds-checked vector load — with a shift/modulo fallback for pages
- * past the table. Private addresses are owner-homed under every policy
- * (the paper's OS already does per-process local allocation; the
- * policies only govern the shared segment).
+ * first-touch and profile), so the homeOf hot path is a shift and a
+ * bounds-checked vector load — with the policy's rule computed on the
+ * fly for pages past the table. Private addresses are owner-homed under
+ * every policy (the paper's OS already does per-process local
+ * allocation; the policies only govern the shared segment).
  */
 
 #ifndef DSS_SIM_PLACEMENT_HH
 #define DSS_SIM_PLACEMENT_HH
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -41,11 +42,11 @@
 #include <vector>
 
 #include "sim/addr.hh"
+#include "sim/arena.hh"
 
 namespace dss {
 namespace sim {
 
-class AddressSpace;
 class TraceStream;
 
 enum class PlacementKind : std::uint8_t {
@@ -67,7 +68,7 @@ const char *placementKindName(PlacementKind kind);
 struct PlacementSpec
 {
     PlacementKind kind = PlacementKind::Interleave;
-    std::optional<ProcId> node; ///< class-affinity's node, if named
+    std::optional<ProcId> node{}; ///< class-affinity's node, if named
 
     /** Parse a flag value; nullopt on unknown names or malformed args. */
     static std::optional<PlacementSpec> parse(std::string_view text);
@@ -82,13 +83,14 @@ struct PlacementSpec
 class PlacementPolicy
 {
   public:
-    /** The address-space shape a policy maps over. */
+    /**
+     * The machine shape a policy maps over. Private addresses follow
+     * AddressSpace's fixed layout (kPrivateBase, kPrivateStride).
+     */
     struct Geometry
     {
         unsigned nnodes = 4;
-        std::size_t pageBytes = 8 * 1024;
-        Addr privateBase = 0;
-        Addr privateStride = 1;
+        std::size_t pageBytes = 8 * 1024; ///< a power of two
     };
 
     /**
@@ -124,11 +126,9 @@ class PlacementPolicy
     ProcId
     homeOf(Addr addr) const
     {
-        if (addr >= g_.privateBase) {
-            const Addr node = privShift_ >= 0
-                                  ? (addr - g_.privateBase) >> privShift_
-                                  : (addr - g_.privateBase) /
-                                        g_.privateStride;
+        if (addr >= AddressSpace::kPrivateBase) {
+            const Addr node =
+                (addr - AddressSpace::kPrivateBase) >> kPrivateShift;
             return node < g_.nnodes ? static_cast<ProcId>(node)
                                     : static_cast<ProcId>(g_.nnodes - 1);
         }
@@ -167,14 +167,19 @@ class PlacementPolicy
     std::size_t claimedPages() const { return claimed_; }
 
   private:
+    static_assert(std::has_single_bit(AddressSpace::kPrivateStride));
+    /** log2(kPrivateStride): a private address's owner node. */
+    static constexpr int kPrivateShift =
+        std::countr_zero(AddressSpace::kPrivateStride);
+
+    /** @throws std::invalid_argument on zero nodes or a page size that
+     * is not a power of two. */
     PlacementPolicy(PlacementKind kind, const Geometry &g);
 
     std::size_t
     pageIndexOf(Addr addr) const
     {
-        return pageShift_ >= 0
-                   ? static_cast<std::size_t>(addr >> pageShift_)
-                   : static_cast<std::size_t>(addr / g_.pageBytes);
+        return static_cast<std::size_t>(addr >> pageShift_);
     }
 
     /** The policy's rule for an unclaimed page index (cold path). */
@@ -192,8 +197,7 @@ class PlacementPolicy
 
     PlacementKind kind_;
     Geometry g_;
-    int pageShift_ = -1; ///< log2(pageBytes) when a power of two
-    int privShift_ = -1; ///< log2(privateStride) when a power of two
+    int pageShift_ = 0; ///< log2(pageBytes)
 
     std::vector<ProcId> table_; ///< page index -> home node
     /** 1 = table_[i] is a claim, not the fallback rule */

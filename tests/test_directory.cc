@@ -28,8 +28,7 @@ makeDir(std::size_t line = 64)
 std::unique_ptr<PlacementPolicy>
 interleave()
 {
-    return PlacementPolicy::interleave(
-        {4, 8192, AddressSpace::kPrivateBase, AddressSpace::kPrivateStride});
+    return PlacementPolicy::interleave({4, 8192});
 }
 
 TEST(Directory, SharedPagesInterleaveRoundRobin)

@@ -5,14 +5,18 @@
  */
 
 #include <cmath>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "harness/options.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
+#include "obs/registry.hh"
+#include "obs/stats_json.hh"
 
 namespace {
 
@@ -125,6 +129,121 @@ TEST_F(WorkloadFixture, RunColdAndWarmSequences)
     EXPECT_LT(seq[1].aggregate().l2Misses().byGroup(sim::ClassGroup::Data),
               cold.aggregate().l2Misses().byGroup(sim::ClassGroup::Data) /
                   4);
+}
+
+// --- ObsSession::runJobs -----------------------------------------------
+
+/** @p j as its report holds it: dumped, then parsed back. */
+std::string
+reparsed(const obs::Json &j)
+{
+    return obs::Json::parse(j.dump()).dump();
+}
+
+/**
+ * Run @p jobs in a --json session under --placement @p placement; return
+ * the written report, and the returned stats through @p stats.
+ */
+obs::Json
+sessionReport(const std::vector<harness::Job> &jobs, const char *placement,
+              std::vector<sim::SimStats> *stats = nullptr)
+{
+    harness::BenchOptions opts;
+    opts.jsonPath = ::testing::TempDir() + "run_jobs_report.json";
+    opts.placement = *sim::PlacementSpec::parse(placement);
+    harness::ObsSession session("test_harness", opts);
+    std::vector<sim::SimStats> out = session.runJobs(jobs);
+    std::ostringstream err;
+    EXPECT_TRUE(session.finish(jobs.front().cfg, err)) << err.str();
+    if (stats)
+        *stats = std::move(out);
+    std::ifstream in(opts.jsonPath);
+    std::stringstream text;
+    text << in.rdbuf();
+    return obs::Json::parse(text.str());
+}
+
+struct RunJobsFixture : WorkloadFixture
+{
+    sim::MachineConfig cfg = [] {
+        sim::MachineConfig c = sim::MachineConfig::baseline();
+        c.nprocs = 2;
+        return c;
+    }();
+    harness::TraceSet q3 = wl.trace(tpcd::QueryId::Q3);
+    harness::TraceSet q6 = wl.trace(tpcd::QueryId::Q6);
+
+    harness::Job
+    job(const std::string &label,
+        std::vector<const harness::TraceSet *> sequence)
+    {
+        return {label, cfg, std::move(sequence), &wl.db().space()};
+    }
+};
+
+TEST_F(RunJobsFixture, RecordsEveryJobInJobOrder)
+{
+    harness::Job wide = job("Q6/32B", {&q6});
+    wide.cfg = cfg.withLineSize(32);
+    std::vector<sim::SimStats> stats;
+    const obs::Json doc = sessionReport(
+        {job("Q6", {&q6}), job("Q3", {&q3}), wide}, "interleave", &stats);
+
+    const obs::Json *runs = doc.find("runs");
+    ASSERT_TRUE(runs);
+    ASSERT_EQ(runs->size(), 3u);
+    ASSERT_EQ(stats.size(), 3u);
+    const char *const labels[] = {"Q6", "Q3", "Q6/32B"};
+    for (std::size_t i = 0; i < 3; ++i) {
+        const obs::Json &run = runs->at(i);
+        EXPECT_EQ(run.find("label")->asString(), labels[i]);
+        EXPECT_EQ(run.find("stats")->dump(),
+                  reparsed(obs::toJson(stats[i])));
+        ASSERT_TRUE(run.find("counters"));
+        EXPECT_GT(run.find("counters")->size(), 0u);
+    }
+    // The line-size job ran its own machine: its misses differ from Q6's.
+    EXPECT_NE(stats[0].aggregate().l2Misses().total(),
+              stats[2].aggregate().l2Misses().total());
+}
+
+TEST_F(RunJobsFixture, EachJobPlacesItsOwnPages)
+{
+    // First-touch and profile claims live in the policy, so a policy
+    // shared across jobs would carry Q3's claims into Q6's run.
+    for (const char *placement : {"first-touch", "profile"}) {
+        const obs::Json after = sessionReport(
+            {job("Q3", {&q3}), job("Q6", {&q6})}, placement);
+        const obs::Json alone = sessionReport({job("Q6", {&q6})}, placement);
+        const obs::Json &a = after.find("runs")->at(1);
+        const obs::Json &b = alone.find("runs")->at(0);
+        ASSERT_TRUE(a.find("counters") && b.find("counters"));
+        EXPECT_EQ(a.find("stats")->dump(), b.find("stats")->dump())
+            << placement;
+        // The counters carry the per-hop transaction counts.
+        EXPECT_EQ(a.find("counters")->dump(), b.find("counters")->dump())
+            << placement;
+    }
+}
+
+TEST_F(RunJobsFixture, AWarmChainRecordsItsLastRun)
+{
+    const obs::Json doc =
+        sessionReport({job("Q6 after Q3", {&q3, &q6})}, "interleave");
+
+    obs::Json registry;
+    harness::RunOptions ro;
+    ro.registrySnapshot = &registry;
+    const std::vector<sim::SimStats> seq =
+        harness::runSequence(cfg, {&q3, &q6}, ro);
+
+    const obs::Json *runs = doc.find("runs");
+    ASSERT_EQ(runs->size(), 1u);
+    const obs::Json &run = runs->at(0);
+    EXPECT_EQ(run.find("label")->asString(), "Q6 after Q3");
+    EXPECT_EQ(run.find("stats")->dump(), reparsed(obs::toJson(seq.back())));
+    EXPECT_NE(run.find("stats")->dump(), reparsed(obs::toJson(seq.front())));
+    EXPECT_EQ(run.find("counters")->dump(), reparsed(registry));
 }
 
 TEST(Report, FixedAndPctFormat)

@@ -194,9 +194,9 @@ TEST(BenchOptionsDeath, ClassAffinityNodeBeyondTheMachineIsFatal)
         parseArgs({"--placement", "class-affinity:6"});
     const BenchOptions node12 =
         parseArgs({"--placement", "class-affinity:12"});
-    EXPECT_TRUE(harness::makePlacement(node3, baseline, &space));
-    EXPECT_TRUE(harness::makePlacement(node12, wide, &space));
-    EXPECT_EXIT(harness::makePlacement(node6, baseline, &space),
+    EXPECT_TRUE(harness::makePlacement(node3.placement, baseline, &space));
+    EXPECT_TRUE(harness::makePlacement(node12.placement, wide, &space));
+    EXPECT_EXIT(harness::makePlacement(node6.placement, baseline, &space),
                 testing::ExitedWithCode(2),
                 "--placement class-affinity:6 names node 6, but the "
                 "machine's node count is 4");
@@ -204,13 +204,13 @@ TEST(BenchOptionsDeath, ClassAffinityNodeBeyondTheMachineIsFatal)
     // tables, processor-count sweeps): the machine it builds decides.
     sim::MachineConfig one = baseline;
     one.nprocs = 1;
-    EXPECT_EXIT(harness::makePlacement(node3, one, &space),
+    EXPECT_EXIT(harness::makePlacement(node3.placement, one, &space),
                 testing::ExitedWithCode(2),
                 "--placement class-affinity:3 names node 3, but the "
                 "machine's node count is 1");
     // Other policies name no node.
     EXPECT_TRUE(harness::makePlacement(
-        parseArgs({"--placement", "first-touch"}), one, nullptr));
+        parseArgs({"--placement", "first-touch"}).placement, one, nullptr));
 }
 
 TEST(BenchOptions, PlacementDefaultsToInterleave)

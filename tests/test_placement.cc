@@ -48,8 +48,7 @@ using sim::ProcId;
 PlacementPolicy::Geometry
 baselineGeometry(unsigned nnodes = 4)
 {
-    return {nnodes, 8 * 1024, AddressSpace::kPrivateBase,
-            AddressSpace::kPrivateStride};
+    return {nnodes, 8 * 1024};
 }
 
 /** Deterministic 64-bit LCG (no std::rand state leaking across tests). */
@@ -142,14 +141,25 @@ TEST(Placement, InterleaveMatchesLegacyRuleEverywhere)
 
 TEST(Placement, InterleaveHandlesNonPowerOfTwoGeometry)
 {
-    // 3 nodes, 12 KB pages: both divisions take the slow (non-shift)
-    // path; the policy must still match idx % nnodes.
-    PlacementPolicy::Geometry g{3, 12 * 1024, AddressSpace::kPrivateBase,
-                                AddressSpace::kPrivateStride};
+    // 3 nodes: the page index is a shift, the home a modulo that is not
+    // a mask; the policy must still match idx % nnodes.
+    PlacementPolicy::Geometry g{3, 8 * 1024};
     auto policy = PlacementPolicy::interleave(g);
     for (Addr a = 0; a < 30 * g.pageBytes; a += 1021)
         EXPECT_EQ(policy->homeOf(a),
                   static_cast<ProcId>((a / g.pageBytes) % g.nnodes));
+}
+
+TEST(Placement, RejectsZeroNodesAndNonPowerOfTwoPages)
+{
+    // validateMachineConfig rejects such pages first; the policy's own
+    // check keeps a hand-built geometry from taking a wrong shift.
+    for (const PlacementPolicy::Geometry g :
+         {PlacementPolicy::Geometry{0, 8 * 1024},
+          PlacementPolicy::Geometry{4, 0},
+          PlacementPolicy::Geometry{3, 12 * 1024}})
+        EXPECT_THROW(PlacementPolicy::interleave(g), std::invalid_argument)
+            << g.nnodes << " nodes, " << g.pageBytes << " B pages";
 }
 
 // --- first-touch ---------------------------------------------------------
@@ -205,9 +215,8 @@ TEST(Placement, FirstTouchRepeatsOnRerun)
         std::size_t claimed;
     };
     auto runOnce = [&] {
-        auto policy = PlacementPolicy::firstTouch(
-            {cfg.nprocs, cfg.pageBytes, AddressSpace::kPrivateBase,
-             AddressSpace::kPrivateStride});
+        auto policy =
+            PlacementPolicy::firstTouch({cfg.nprocs, cfg.pageBytes});
         sim::Machine m(cfg);
         m.setPlacement(policy.get());
         sim::SimStats stats = m.run(ptrs);
@@ -516,23 +525,22 @@ TEST(Placement, MakePlacementBuildsEachPolicyAndValidatesInputs)
     harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
     const sim::MachineConfig cfg = sim::MachineConfig::baseline();
 
-    harness::BenchOptions opts;
-    auto def = harness::makePlacement(opts, cfg, &wl.db().space());
+    auto def = harness::makePlacement(PlacementSpec{}, cfg, &wl.db().space());
     EXPECT_EQ(def->kind(), PlacementKind::Interleave);
 
-    opts.placement = *PlacementSpec::parse("class-affinity:1");
-    auto ca = harness::makePlacement(opts, cfg, &wl.db().space());
+    auto ca = harness::makePlacement(*PlacementSpec::parse("class-affinity:1"),
+                                     cfg, &wl.db().space());
     EXPECT_EQ(ca->kind(), PlacementKind::ClassAffinity);
     EXPECT_GT(ca->coveredPages(), 0u);
 
-    opts.placement = *PlacementSpec::parse("profile");
-    auto pr = harness::makePlacement(opts, cfg, &wl.db().space());
+    auto pr = harness::makePlacement(*PlacementSpec::parse("profile"), cfg,
+                                     &wl.db().space());
     EXPECT_EQ(pr->kind(), PlacementKind::Profile);
     EXPECT_EQ(pr->coveredPages(), 0u) << "profile resolves per run";
 
     // class-affinity classifies pages by the workload's arenas.
-    opts.placement = *PlacementSpec::parse("class-affinity");
-    EXPECT_THROW(harness::makePlacement(opts, cfg, nullptr),
+    EXPECT_THROW(harness::makePlacement(
+                     *PlacementSpec::parse("class-affinity"), cfg, nullptr),
                  std::runtime_error);
 }
 
